@@ -20,10 +20,12 @@ from .graph import (ConnectivityReport, StochasticOperator, UserPrefGraph,
                     UserPrefOperators, connectivity_report, item_pole_operators,
                     user_pref_operators)
 from .item_walk import (ItemWalkConfig, ItemWalkResult, RestartVector, ScoredItems,
-                        build_restart, recommend_topk, run_item_walk, score_items)
+                        build_restart, recommend_topk, run_item_walk, score_items,
+                        solve_item_walk)
 from .preferences import (PreferenceStore, decode_pair, dense_index, derive_preferences,
                           encode_pair, universe_size)
-from .user_walk import UserWalkConfig, UserWalkResult, restart_vector, run_user_walk
+from .user_walk import (UserWalkConfig, UserWalkResult, restart_vector, run_user_walk,
+                        solve_user_walk)
 
 __version__ = "0.1.0"
 
@@ -38,8 +40,9 @@ __all__ = [
     "UserPrefGraph", "StochasticOperator", "UserPrefOperators", "ConnectivityReport",
     "user_pref_operators", "item_pole_operators", "connectivity_report",
     "UserWalkConfig", "UserWalkResult", "restart_vector", "run_user_walk",
+    "solve_user_walk",
     "ItemWalkConfig", "ItemWalkResult", "RestartVector", "ScoredItems", "build_restart",
-    "run_item_walk", "score_items", "recommend_topk",
+    "run_item_walk", "solve_item_walk", "score_items", "recommend_topk",
     "RankOutcome", "rank_items_for_user", "ndcg_at_k", "run_evaluation", "EvalReport",
     "collect_diagnostics", "DiagnosticsReport", "distinct_levels",
     "__version__",

@@ -30,7 +30,6 @@ DEFAULTS = {
     "alpha": 0.15,
     "beta": 0.15,
     "tol": 1e-10,
-    "max_iter": 100,
     "seed": 0,
     "min_test": 10,
     "repetitions": 5,
@@ -55,7 +54,6 @@ _KEY_PARSERS = {
     "alpha": float,
     "beta": float,
     "tol": float,
-    "max_iter": int,
     "seed": int,
     "min_test": int,
     "repetitions": int,
@@ -99,11 +97,9 @@ def _resolve(args, config: dict, key: str):
 def _walk_configs(args, config):
     try:
         walk1 = UserWalkConfig(alpha=_resolve(args, config, "alpha"),
-                               tol=_resolve(args, config, "tol"),
-                               max_iter=_resolve(args, config, "max_iter"))
+                               tol=_resolve(args, config, "tol"))
         walk2 = ItemWalkConfig(beta=_resolve(args, config, "beta"),
-                               tol=_resolve(args, config, "tol"),
-                               max_iter=_resolve(args, config, "max_iter"))
+                               tol=_resolve(args, config, "tol"))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return walk1, walk2
@@ -253,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     def walk_flags(p):
         p.add_argument("--alpha", type=float, help="first-walk restart probability")
         p.add_argument("--beta", type=float, help="second-walk restart probability")
-        p.add_argument("--tol", type=float, help="L1 stopping tolerance")
-        p.add_argument("--max-iter", dest="max_iter", type=int)
+        p.add_argument("--tol", type=float,
+                       help="L1 tolerance below which a walk counts as converged")
 
     p = sub.add_parser("split", parents=[], help="write per-user train/test splits")
     common(p)

@@ -5,10 +5,11 @@ optionally followed by extra columns (e.g. a timestamp) which are
 ignored.  Raw user/item ids are arbitrary integers; they are mapped to
 dense 0-based ids in order of first appearance so graph code can use
 them as array indices.  Duplicate (user, item) lines keep the last
-rating seen.
+rating seen.  Ratings must be finite numbers.
 """
 
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,6 +80,8 @@ def _parse_stream(stream, sep: str, name: str) -> RatingsDataset:
             u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(f"{name}, line {ln}: {exc}") from None
+        if not math.isfinite(r):
+            raise ParseError(f"{name}, line {ln}: rating {parts[2]!r} is not finite")
         by_pair[(u, i)] = r  # last occurrence wins, first-seen order kept
     if not by_pair:
         raise EmptyDatasetError(f"{name}: no ratings")

@@ -1,5 +1,9 @@
 """Ranking quality protocol and structural diagnostics.
 
+Ranking solves both walks exactly: the first against a sparse LU
+factor that the graph's operators build once per alpha and keep, the
+second in closed form, so neither depends on max_iter.
+
 The protocol: for each requested per-user profile size, repeatedly
 split the dataset (keeping that many train ratings per user, the rest
 as test), rank each kept user's unseen items, and average NDCG at the
@@ -24,9 +28,9 @@ from .errors import ColdStartError
 from .graph import (UserPrefGraph, UserPrefOperators, connectivity_report,
                     item_pole_operators, user_pref_operators)
 from .item_walk import (ItemWalkConfig, ItemWalkResult, ScoredItems, build_restart,
-                        recommend_topk, run_item_walk, score_items)
+                        recommend_topk, score_items, solve_item_walk)
 from .preferences import derive_preferences, universe_size
-from .user_walk import UserWalkConfig, UserWalkResult, restart_vector, run_user_walk
+from .user_walk import UserWalkConfig, UserWalkResult, restart_vector, solve_user_walk
 
 NONZERO_EPS = 1e-15
 LEVEL_DIGITS = 12
@@ -44,11 +48,11 @@ def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
                         target: int, k: int = 10, exclude=(),
                         walk1: UserWalkConfig | None = None,
                         walk2: ItemWalkConfig | None = None) -> RankOutcome:
-    """Run both walks for one user and rank their unseen items."""
+    """Solve both walks exactly for one user and rank their unseen items."""
     d = restart_vector(ops, target)
-    first = run_user_walk(ops.pref_to_user, ops.user_to_pref, d, walk1)
+    first = solve_user_walk(ops, d, walk1)
     q = build_restart(first.concordances, ops.observed_ids, ops.n_items)
-    second = run_item_walk(pole_to_pref, pref_to_pole, q, walk2)
+    second = solve_item_walk(pole_to_pref, pref_to_pole, q, walk2)
     scored = score_items(second)
     return RankOutcome(recommend_topk(scored, k, exclude), scored, first, second)
 
@@ -169,7 +173,7 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
     walk2 = walk2 or ItemWalkConfig()
     report = EvalReport(upls, cutoffs, repetitions, config={
         "alpha": walk1.alpha, "beta": walk2.beta, "tol": walk1.tol,
-        "max_iter": walk1.max_iter, "seed": seed, "min_test": min_test,
+        "seed": seed, "min_test": min_test,
         "repetitions": repetitions, "user_sample": user_sample,
         "cutoffs": ",".join(str(k) for k in cutoffs),
     })
@@ -192,6 +196,7 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
                     rep_means[k].append(0.0)
                 continue
             ops = user_pref_operators(UserPrefGraph.from_store(store))
+            ops.user_walk_factor(walk1.alpha)  # before the fork, so workers share it
             w_op, t_op = item_pole_operators(dataset.n_items)
             tasks = _rep_tasks(train, test, kept)
             payload = (ops, w_op, t_op, walk1, walk2, cutoffs)
@@ -234,7 +239,8 @@ def distinct_levels(values, sig_digits: int = LEVEL_DIGITS) -> int:
     roll = mant >= 10 ** sig_digits  # e.g. 9.9999..e-3 rounding up to 1e-2
     mant[roll] //= 10
     exp[roll] += 1
-    return int(np.unique(mant * 1000 + (exp + 500)).size)
+    keys = np.sort(mant * 1000 + (exp + 500))
+    return int(np.count_nonzero(np.diff(keys))) + 1
 
 
 @dataclass

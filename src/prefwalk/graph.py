@@ -12,11 +12,12 @@ Pole indexing: win pole of item i is i, loss pole is n_items + i.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
+from scipy.sparse.linalg import splu
 
 from .errors import DataError, EmptyGraphError, ParseError, PreferenceConflictError
 from .preferences import PreferenceStore, decode_pair, encode_pair
@@ -189,10 +190,23 @@ class UserPrefOperators:
     user_to_pref: StochasticOperator  # (P x n_users), non-empty columns sum to 1
     pref_col_indptr: np.ndarray  # user -> slice into pref_col_indices
     pref_col_indices: np.ndarray  # column index of each of the user's prefs
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pref_columns(self, user: int) -> np.ndarray:
         """Column indices (into observed_ids) of one user's preferences."""
         return self.pref_col_indices[self.pref_col_indptr[user]:self.pref_col_indptr[user + 1]]
+
+    def user_walk_factor(self, alpha: float):
+        """Sparse LU factor of I - (1 - alpha)**2 * L @ M, with L =
+        pref_to_user and M = user_to_pref: the first walk's fixed point
+        in user space.  Built on first use for each alpha, then kept."""
+        lu = self._factors.get(alpha)
+        if lu is None:
+            keep = 1.0 - alpha
+            coupling = self.pref_to_user.matrix @ self.user_to_pref.matrix
+            system = sparse.identity(self.n_users) - keep * keep * coupling
+            lu = self._factors[alpha] = splu(system.tocsc())
+        return lu
 
 
 def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:

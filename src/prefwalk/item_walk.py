@@ -11,9 +11,25 @@ Materializing pref_mass costs n_items**2 memory, but the walk itself
 never needs to: pole_to_pref output always has the two-sided form
 a[winner] + b[loser] (+ restart), so the state is carried as the pair
 (a, b) plus a restart coefficient and a constant.  One sweep is then
-O(n_items), and the exact L1 residual over the whole universe comes
-from a sort-and-prefix-sum pass.  The dense form is materialized
-lazily only when asked for.
+O(n_items), and the exact L1 change over the whole universe comes from
+a sort-and-prefix-sum pass.  The dense form is materialized lazily only
+when asked for.
+
+The walk's result is its fixed point, which depends on the restart only
+through its per-item win and loss marginals qw, ql.  With k = 1 - beta,
+c = k**2 / 2, g = c / (n_items - 1) and s = k * beta / 2, each item's
+win and loss pole masses w, l satisfy
+
+    w - l = s * (qw - ql) / (1 - c - g)
+    w + l = (2 * g * W + s * (qw + ql)) / (1 - c + g)
+
+where W = s / (1 - 2c) is the total win mass (equal to the total loss
+mass).  At the fixed point a = k / (n_items - 1) * w, b = k / (n_items
+- 1) * l, the constant is 0 and the restart coefficient is beta.
+`solve_item_walk` returns that state in O(n_items), with no sweeps and,
+as its residual, the L1 change one more sweep would make.
+`run_item_walk` iterates the sweep from a uniform joint start instead,
+counting sweeps for the convergence tests.
 
 An item's score is the share of its win pole in its total pole mass;
 items whose poles received (numerically) no mass at all score zero and
@@ -34,8 +50,8 @@ SCORE_FLOOR = 1e-15  # pole mass below this counts as "never reached"
 @dataclass
 class ItemWalkConfig:
     beta: float = 0.15    # restart probability
-    tol: float = 1e-10    # joint L1 stopping threshold
-    max_iter: int = 100
+    tol: float = 1e-10    # joint L1 threshold: stops the iterate, sets `converged`
+    max_iter: int = 100   # sweeps of the iterate (the closed form does none)
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
@@ -140,46 +156,41 @@ def _offdiag_abs_delta(da: np.ndarray, db: np.ndarray, dk: float, dr: float,
     return total
 
 
-def run_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
-                  config: ItemWalkConfig | None = None) -> ItemWalkResult:
-    """Iterate the walk from a uniform joint start (half the mass spread
-    over the pair universe, half over the poles)."""
-    cfg = config or ItemWalkConfig()
+def _check_operators(pole_to_pref, pref_to_pole, restart: RestartVector) -> int:
     n = restart.n_items
     if pole_to_pref.n_items != n or pref_to_pole.n_items != n:
         raise ValueError("operators and restart vector disagree on the item count")
-    uni = universe_size(n)
-    beta, keep = cfg.beta, 1.0 - cfg.beta
-    coef = keep / (n - 1)
+    return n
 
-    a = np.zeros(n)
-    b = np.zeros(n)
-    rate, bias = 0.0, 0.5 / uni
-    win = np.full(n, 0.25 / n)
-    loss = np.full(n, 0.25 / n)
-    iterations, residual, converged = 0, np.inf, False
-    for _ in range(cfg.max_iter):
-        a_next = coef * win
-        b_next = coef * loss
-        row = (n - 1) * (a + bias) + (b.sum() - b) + rate * restart.win_sums
-        col = (n - 1) * (b + bias) + (a.sum() - a) + rate * restart.loss_sums
-        win_next = 0.5 * keep * row
-        loss_next = 0.5 * keep * col
-        residual = (
-            _offdiag_abs_delta(a_next - a, b_next - b, -bias, beta - rate, restart)
-            + float(np.abs(win_next - win).sum() + np.abs(loss_next - loss).sum())
-        )
-        a, b, rate, bias = a_next, b_next, beta, 0.0
-        win, loss = win_next, loss_next
-        iterations += 1
-        if residual < cfg.tol:
-            converged = True
-            break
+
+def _sweep(a, b, bias: float, rate: float, win, loss, restart: RestartVector,
+           beta: float):
+    """One sweep of the structured state; returns the next (a, b, win,
+    loss) and the L1 change over the pair universe and the poles.  The
+    next state always has bias 0 and restart coefficient beta."""
+    n = restart.n_items
+    keep = 1.0 - beta
+    a_next = keep / (n - 1) * win
+    b_next = keep / (n - 1) * loss
+    row = (n - 1) * (a + bias) + (b.sum() - b) + rate * restart.win_sums
+    col = (n - 1) * (b + bias) + (a.sum() - a) + rate * restart.loss_sums
+    win_next = 0.5 * keep * row
+    loss_next = 0.5 * keep * col
+    residual = (
+        _offdiag_abs_delta(a_next - a, b_next - b, -bias, beta - rate, restart)
+        + float(np.abs(win_next - win).sum() + np.abs(loss_next - loss).sum())
+    )
+    return a_next, b_next, win_next, loss_next, residual
+
+
+def _result(restart: RestartVector, a, b, bias: float, rate: float, win, loss,
+            iterations: int, residual: float, converged: bool) -> ItemWalkResult:
+    """Renormalize a structured state to unit joint mass."""
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))
             and np.all(np.isfinite(win)) and np.all(np.isfinite(loss))):
         raise NumericalError("item walk produced non-finite values")
-
-    pref_total = (n - 1) * (a.sum() + b.sum()) + uni * bias + rate
+    n = restart.n_items
+    pref_total = (n - 1) * (a.sum() + b.sum()) + universe_size(n) * bias + rate
     mass = pref_total + win.sum() + loss.sum()
     return ItemWalkResult(
         n_items=n,
@@ -193,6 +204,49 @@ def run_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
         _restart_rate=rate / mass,
         _restart=restart,
     )
+
+
+def solve_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
+                    config: ItemWalkConfig | None = None) -> ItemWalkResult:
+    """The walk's fixed point in closed form (see the module docstring)."""
+    cfg = config or ItemWalkConfig()
+    n = _check_operators(pole_to_pref, pref_to_pole, restart)
+    beta, keep = cfg.beta, 1.0 - cfg.beta
+    c = keep * keep / 2.0
+    g = c / (n - 1)
+    s = keep * beta / 2.0
+    total = s / (1.0 - 2.0 * c)
+    diff = s * (restart.win_sums - restart.loss_sums) / (1.0 - c - g)
+    both = (2.0 * g * total + s * (restart.win_sums + restart.loss_sums)) / (1.0 - c + g)
+    # with two items a pole can have exact mass 0, which the subtraction
+    # may round to -1 ulp
+    win = np.maximum(0.5 * (both + diff), 0.0)
+    loss = np.maximum(0.5 * (both - diff), 0.0)
+    a, b = keep / (n - 1) * win, keep / (n - 1) * loss
+    residual = _sweep(a, b, 0.0, beta, win, loss, restart, beta)[-1]
+    return _result(restart, a, b, 0.0, beta, win, loss, 0, residual, residual < cfg.tol)
+
+
+def run_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
+                  config: ItemWalkConfig | None = None) -> ItemWalkResult:
+    """Iterate the walk from a uniform joint start (half the mass spread
+    over the pair universe, half over the poles)."""
+    cfg = config or ItemWalkConfig()
+    n = _check_operators(pole_to_pref, pref_to_pole, restart)
+    a = np.zeros(n)
+    b = np.zeros(n)
+    rate, bias = 0.0, 0.5 / universe_size(n)
+    win = np.full(n, 0.25 / n)
+    loss = np.full(n, 0.25 / n)
+    iterations, residual, converged = 0, np.inf, False
+    for _ in range(cfg.max_iter):
+        a, b, win, loss, residual = _sweep(a, b, bias, rate, win, loss, restart, cfg.beta)
+        rate, bias = cfg.beta, 0.0
+        iterations += 1
+        if residual < cfg.tol:
+            converged = True
+            break
+    return _result(restart, a, b, bias, rate, win, loss, iterations, residual, converged)
 
 
 @dataclass

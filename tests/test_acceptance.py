@@ -39,10 +39,12 @@ from prefwalk import (
     load_ratings,
     ndcg_at_k,
     rank_items_for_user,
+    recommend_topk,
     restart_vector,
     run_evaluation,
     run_item_walk,
     run_user_walk,
+    score_items,
     upl_split,
     user_pref_operators,
 )
@@ -72,9 +74,16 @@ def _ml100k_train_graph(dataset):
 
 # -- criterion 1: sparse pipeline == dense reference -------------------------
 
+def _worst_gap(pairs) -> float:
+    return max(float(np.max(np.abs(a - b))) for a, b in pairs)
+
+
 def test_criterion_1_oracle_equivalence():
+    """Both pipelines against the dense reference: the exact one against
+    the reference run to convergence, the iterate against the reference
+    run for the same default sweeps."""
     started = time.perf_counter()
-    worst_vec = 0.0
+    worst_exact = worst_iter = 0.0
     rankings_equal = True
     for i in range(50):
         seed = 1000 + i
@@ -91,21 +100,36 @@ def test_criterion_1_oracle_equivalence():
         ops = user_pref_operators(UserPrefGraph.from_store(store))
         w_op, t_op = item_pole_operators(n)
         got = rank_items_for_user(ops, w_op, t_op, target, k=n)
-        ref = dense_reference_ranking(store, target, k=n)
-
-        for a, b in ((got.first.similarities, ref.similarities),
-                     (got.first.concordances, ref.concordances),
-                     (got.second.pref_mass, ref.pref_mass),
-                     (got.second.pole_mass, ref.pole_mass)):
-            worst_vec = max(worst_vec, float(np.max(np.abs(a - b))))
+        ref = dense_reference_ranking(store, target, k=n, tol=1e-15, max_iter=5000)
+        worst_exact = max(worst_exact, _worst_gap(
+            ((got.first.similarities, ref.similarities),
+             (got.first.concordances, ref.concordances),
+             (got.second.pref_mass, ref.pref_mass),
+             (got.second.pole_mass, ref.pole_mass))))
         rankings_equal = rankings_equal and np.array_equal(got.items, ref.items)
+
+        first = run_user_walk(ops.pref_to_user, ops.user_to_pref,
+                              restart_vector(ops, target))
+        q = build_restart(first.concordances, ops.observed_ids, n)
+        second = run_item_walk(w_op, t_op, q)
+        items = recommend_topk(score_items(second), n)
+        ref = dense_reference_ranking(store, target, k=n)
+        worst_iter = max(worst_iter, _worst_gap(
+            ((first.similarities, ref.similarities),
+             (first.concordances, ref.concordances),
+             (second.pref_mass, ref.pref_mass),
+             (second.pole_mass, ref.pole_mass))))
+        rankings_equal = rankings_equal and np.array_equal(items, ref.items)
     elapsed = time.perf_counter() - started
 
-    ok = worst_vec <= 1e-9 and rankings_equal and elapsed < 10.0
+    ok = (worst_exact <= 1e-12 and worst_iter <= 1e-9 and rankings_equal
+          and elapsed < 10.0)
     _line(1, "oracle equivalence", ok,
-          f"50 instances, max |sparse - dense| = {worst_vec:.2e}, "
+          f"50 instances, max |exact - converged dense| = {worst_exact:.2e}, "
+          f"max |iterate - dense| = {worst_iter:.2e}, "
           f"rankings identical = {rankings_equal}, {elapsed:.2f} s")
-    assert worst_vec <= 1e-9
+    assert worst_exact <= 1e-12
+    assert worst_iter <= 1e-9
     assert rankings_equal
     assert elapsed < 10.0
 

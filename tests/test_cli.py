@@ -195,6 +195,26 @@ def test_malformed_file_is_data_error(tmp_path, capsys):
     assert code == 2 and "line 1" in err
 
 
+def test_non_finite_rating_is_data_error(tmp_path, capsys):
+    path = tmp_path / "nan.tsv"
+    path.write_text("1\t1\t4\n1\t2\tnan\n1\t3\t2\n", encoding="utf-8")
+    code, stdout, err = run_cli(capsys, "recommend", path, "--user", "1")
+    assert code == 2 and "line 2" in err and "not finite" in err
+    assert stdout == ""
+
+
+def test_max_iter_removed(ratings_file, tmp_path, capsys):
+    # both walks are solved exactly, so a sweep cap has nothing to set
+    with pytest.raises(SystemExit) as exc:
+        main(["recommend", str(ratings_file), "--user", "1", "--max-iter", "5"])
+    assert exc.value.code == 1
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("max_iter=5\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "recommend", ratings_file, "--user", "1",
+                           "--config", cfg)
+    assert code == 1 and "unknown key" in err
+
+
 def test_invalid_alpha_is_usage_error(ratings_file, capsys):
     code, _, err = run_cli(capsys, "recommend", ratings_file, "--user", "1",
                            "--alpha", "2.0")

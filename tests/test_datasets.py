@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_ratings
 
@@ -44,6 +47,44 @@ def test_parse_errors():
         loads_ratings("\n\n")
     with pytest.raises(ParseError, match="unknown format"):
         loads_ratings("1\t2\t3", fmt="json")
+
+
+def test_non_finite_rating_rejected():
+    for bad in ("nan", "inf", "-inf", "NaN", "Infinity"):
+        with pytest.raises(ParseError, match=r"line 2: rating .* is not finite"):
+            loads_ratings(f"1\t1\t4\n1\t2\t{bad}\n1\t3\t2")
+
+
+_RATING_TEXT = st.one_of(
+    st.integers(-5, 5).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e999", "x", ""]),
+)
+
+
+def _finite_rating(text):
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), _RATING_TEXT),
+                min_size=1, max_size=8))
+def test_parse_fuzz(rows):
+    text = "\n".join(f"{u}\t{i}\t{r}" for u, i, r in rows)
+    bad = [ln for ln, (_, _, r) in enumerate(rows, start=1) if not _finite_rating(r)]
+    if bad:
+        with pytest.raises(ParseError, match=rf"line {bad[0]}\b"):
+            loads_ratings(text)
+        return
+    ds = loads_ratings(text)
+    expected = {(u, i): float(r) for u, i, r in rows}  # last occurrence wins
+    assert ds.n_ratings == len(expected)
+    got = {(int(ds.raw_user_ids[u]), int(ds.raw_item_ids[i])): r
+           for u, i, r in zip(ds.users, ds.items, ds.ratings)}
+    assert got == expected
 
 
 def test_load_missing_file(tmp_path):

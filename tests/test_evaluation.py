@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import first_warm_user, random_ratings, random_store
 
-from prefwalk import (SplitSpec, UserPrefGraph, collect_diagnostics,
+from prefwalk import (PreferenceStore, SplitSpec, UserPrefGraph, collect_diagnostics,
                       derive_preferences, distinct_levels, item_pole_operators,
                       loads_ratings, ndcg_at_k, rank_items_for_user, run_evaluation,
                       upl_split, user_pref_operators)
-from prefwalk.item_walk import build_restart, recommend_topk, run_item_walk, score_items
-from prefwalk.user_walk import restart_vector, run_user_walk
+from prefwalk.item_walk import build_restart, recommend_topk, score_items, solve_item_walk
+from prefwalk.user_walk import restart_vector, solve_user_walk
 
 
 def test_ndcg_reorder_example():
@@ -83,14 +83,36 @@ def test_rank_items_matches_manual_pipeline():
     w_op, t_op = item_pole_operators(store.n_items)
     target = first_warm_user(store)
     outcome = rank_items_for_user(ops, w_op, t_op, target, k=4, exclude={0})
-    first = run_user_walk(ops.pref_to_user, ops.user_to_pref,
-                          restart_vector(ops, target))
+    first = solve_user_walk(ops, restart_vector(ops, target))
     q = build_restart(first.concordances, ops.observed_ids, ops.n_items)
-    second = run_item_walk(w_op, t_op, q)
+    second = solve_item_walk(w_op, t_op, q)
     scored = score_items(second)
     assert np.array_equal(outcome.items, recommend_topk(scored, 4, exclude={0}))
     assert 0 not in set(int(i) for i in outcome.items)
     assert np.array_equal(outcome.scored.scores, scored.scores)
+    assert outcome.first.iterations == 0 and outcome.second.iterations == 0
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_user_sharing_no_preference_scores_one_half(seed):
+    # the target's component of the graph is the target alone, so the
+    # walks carry no information about items outside its own pairs
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    others = random_store(rng, n_users=int(rng.integers(0, 5)), n_items=n, fill=0.5)
+    picked = rng.choice(n, size=int(rng.integers(2, n)), replace=False)
+    mine = [(int(a), int(b)) for a, b in zip(picked[:-1], picked[1:])]
+    rows = [[tuple(int(v) for v in divmod(int(p), n)) for p in ids
+             if tuple(int(v) for v in divmod(int(p), n)) not in mine]
+            for ids in others.pair_ids]
+    store = PreferenceStore.from_pairs(len(rows) + 1, n, rows + [mine])
+    target = len(rows)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    outcome = rank_items_for_user(ops, *item_pole_operators(n), target, k=n)
+    assert np.all(np.delete(outcome.first.similarities, target) == 0.0)
+    unseen = np.setdiff1d(np.arange(n), picked)
+    assert np.all(outcome.scored.scores[unseen] == 0.5)
 
 
 def _protocol_dataset(n_users=6, per_user=12, n_items=20, seed=0):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from prefwalk import (ItemWalkConfig, ItemWalkResult, RestartVector, ScoredItems,
                       build_restart, encode_pair, item_pole_operators, recommend_topk,
-                      run_item_walk, score_items)
+                      run_item_walk, score_items, solve_item_walk)
 from prefwalk.item_walk import SCORE_FLOOR
 from prefwalk.reference import dense_fixed_point, dense_pole_matrices, stacked_system
 from prefwalk.preferences import dense_index
@@ -176,6 +176,8 @@ def test_operator_mismatch_rejected():
     q = make_restart(3, [(0, 1)])
     with pytest.raises(ValueError):
         run_item_walk(w_op, t_op, q)
+    with pytest.raises(ValueError):
+        solve_item_walk(w_op, t_op, q)
 
 
 def fake_result(win, loss):
@@ -225,3 +227,46 @@ def test_deterministic():
     assert np.array_equal(r1.pole_mass, r2.pole_mass)
     assert np.array_equal(r1.pref_mass, r2.pref_mass)
     assert r1.iterations == r2.iterations and r1.residual == r2.residual
+
+
+def random_restart(rng, n):
+    uni_ids = np.flatnonzero(~np.eye(n, dtype=bool).ravel())
+    take = int(rng.integers(1, len(uni_ids) + 1))
+    ids = np.sort(rng.choice(uni_ids, size=take, replace=False))
+    weights = rng.random(take) + 1e-3
+    return RestartVector(n, ids, weights / weights.sum())
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.0))
+def test_closed_form_matches_converged_iterate(seed, beta):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    w_op, t_op = item_pole_operators(n)
+    q = random_restart(rng, n)
+    exact = solve_item_walk(w_op, t_op, q, ItemWalkConfig(beta=beta))
+    it = run_item_walk(w_op, t_op, q, ItemWalkConfig(beta=beta, tol=1e-14, max_iter=5000))
+    assert it.converged
+    assert np.abs(exact.pole_mass - it.pole_mass).max() <= 1e-11
+    assert np.abs(exact.pref_mass - it.pref_mass).max() <= 1e-11
+    assert abs(exact.pref_mass.sum() + exact.pole_mass.sum() - 1.0) <= 1e-12
+    assert np.all(exact.pref_mass >= 0.0) and np.all(exact.pole_mass >= 0.0)
+    assert exact.iterations == 0
+    assert exact.converged and exact.residual < 1e-12
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_closed_form_beta_one_returns_restart(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    w_op, t_op = item_pole_operators(n)
+    q = random_restart(rng, n)
+    res = solve_item_walk(w_op, t_op, q, ItemWalkConfig(beta=1.0))
+    assert res.converged
+    assert np.all(res.pole_mass == 0.0)
+    expected = np.zeros(n * n)
+    expected[q.pair_ids] = q.weights
+    assert np.abs(res.pref_mass - expected).max() <= 1e-15
+    scored = score_items(res)
+    assert np.all(scored.scores == 0.0) and not scored.defined.any()

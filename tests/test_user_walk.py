@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import first_warm_user, random_store
 
 from prefwalk import (ColdStartError, PreferenceStore, UserPrefGraph, UserWalkConfig,
-                      restart_vector, run_user_walk, user_pref_operators)
+                      restart_vector, run_user_walk, solve_user_walk, user_pref_operators)
 from prefwalk.reference import (dense_fixed_point, dense_restart_vector,
                                 dense_user_pref_matrices, stacked_system)
 
@@ -148,3 +148,60 @@ def test_restart_shape_checked():
     ops = ops_for(store)
     with pytest.raises(ValueError):
         run_user_walk(ops.pref_to_user, ops.user_to_pref, np.ones(1) * 1.0)
+    with pytest.raises(ValueError):
+        solve_user_walk(ops, np.ones(1))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.0))
+def test_exact_matches_converged_iterate(seed, alpha):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_users=int(rng.integers(1, 8)),
+                         n_items=int(rng.integers(2, 7)), fill=0.5)
+    if store.total == 0:
+        return
+    ops = ops_for(store)
+    d = restart_vector(ops, first_warm_user(store))
+    exact = solve_user_walk(ops, d, UserWalkConfig(alpha=alpha))
+    it = run_user_walk(ops.pref_to_user, ops.user_to_pref, d,
+                       UserWalkConfig(alpha=alpha, tol=1e-14, max_iter=5000))
+    assert it.converged
+    assert np.abs(exact.similarities - it.similarities).max() <= 1e-11
+    assert np.abs(exact.concordances - it.concordances).max() <= 1e-11
+    assert abs(exact.similarities.sum() + exact.concordances.sum() - 1.0) <= 1e-12
+    assert exact.iterations == 0
+    assert exact.converged and exact.residual < 1e-12
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_exact_alpha_one_pins_concordance_to_restart(seed):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_users=int(rng.integers(1, 7)), n_items=5, fill=0.5)
+    if store.total == 0:
+        return
+    ops = ops_for(store)
+    d = restart_vector(ops, first_warm_user(store))
+    res = solve_user_walk(ops, d, UserWalkConfig(alpha=1.0))
+    assert np.all(res.similarities == 0.0)
+    assert np.abs(res.concordances - d).max() <= 1e-15
+    assert res.converged
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.0))
+def test_factor_reuse_matches_fresh_operators(seed, alpha):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_users=int(rng.integers(1, 8)), n_items=5, fill=0.5)
+    if store.total == 0:
+        return
+    shared = ops_for(store)
+    warm = [u for u in range(store.n_users) if store.count(u) > 0]
+    for cfg in (UserWalkConfig(alpha=alpha), UserWalkConfig(), UserWalkConfig(alpha=alpha)):
+        for u in warm:  # the shared operators reuse one factor per alpha
+            reused = solve_user_walk(shared, restart_vector(shared, u), cfg)
+            fresh_ops = ops_for(store)
+            fresh = solve_user_walk(fresh_ops, restart_vector(fresh_ops, u), cfg)
+            assert np.array_equal(reused.similarities, fresh.similarities)
+            assert np.array_equal(reused.concordances, fresh.concordances)
+    assert shared.user_walk_factor(alpha) is shared.user_walk_factor(alpha)
