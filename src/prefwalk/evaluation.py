@@ -1,8 +1,12 @@
 """Ranking quality protocol and structural diagnostics.
 
-Ranking solves both walks exactly: the first against a sparse LU
-factor that the graph's operators build once per alpha and keep, the
-second in closed form, so neither depends on max_iter.
+Ranking solves both walks exactly: the first in user space, against a
+sparse LU factor and user-space matrices that the graph's operators
+build once and keep, projected straight onto the item poles; the
+second in closed form on those pole marginals.  Neither depends on
+max_iter, and per user the work is O(n_users + n_items) beside the
+solve: no vector over preferences is built unless diagnostics read the
+concordances or the pair-level walk mass.
 
 The protocol: for each requested per-user profile size, repeatedly
 split the dataset (keeping that many train ratings per user, the rest
@@ -27,10 +31,10 @@ from .datasets import RatingsDataset, SplitSpec, upl_split
 from .errors import ColdStartError
 from .graph import (UserPrefGraph, UserPrefOperators, connectivity_report,
                     item_pole_operators, user_pref_operators)
-from .item_walk import (ItemWalkConfig, ItemWalkResult, ScoredItems, build_restart,
+from .item_walk import (ItemWalkConfig, ItemWalkResult, RestartVector, ScoredItems,
                         recommend_topk, score_items, solve_item_walk)
 from .preferences import derive_preferences, universe_size
-from .user_walk import UserWalkConfig, UserWalkResult, restart_vector, solve_user_walk
+from .user_walk import UserWalkConfig, UserWalkResult, solve_user_walk
 
 NONZERO_EPS = 1e-15
 LEVEL_DIGITS = 12
@@ -49,9 +53,9 @@ def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
                         walk1: UserWalkConfig | None = None,
                         walk2: ItemWalkConfig | None = None) -> RankOutcome:
     """Solve both walks exactly for one user and rank their unseen items."""
-    d = restart_vector(ops, target)
-    first = solve_user_walk(ops, d, walk1)
-    q = build_restart(first.concordances, ops.observed_ids, ops.n_items)
+    first = solve_user_walk(ops, target, walk1)
+    q = RestartVector.from_poles(first.concordance_poles, ops.observed_ids,
+                                 lambda: first.concordances)
     second = solve_item_walk(pole_to_pref, pref_to_pole, q, walk2)
     scored = score_items(second)
     return RankOutcome(recommend_topk(scored, k, exclude), scored, first, second)
@@ -196,7 +200,8 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
                     rep_means[k].append(0.0)
                 continue
             ops = user_pref_operators(UserPrefGraph.from_store(store))
-            ops.user_walk_factor(walk1.alpha)  # before the fork, so workers share it
+            # factor and user-space matrices before the fork, so workers share them
+            ops.user_walk_factor(walk1.alpha)
             w_op, t_op = item_pole_operators(dataset.n_items)
             tasks = _rep_tasks(train, test, kept)
             payload = (ops, w_op, t_op, walk1, walk2, cutoffs)

@@ -8,11 +8,20 @@ preference (w, l) — over the full universe of ordered pairs — connects
 to w's win pole and l's loss pole.  Both graphs are only ever consumed
 through column-stochastic transition operators.
 
+Ranking reads the first walk in user space (see user_walk), through
+matrices the operators build once per graph, on first use: L @ M,
+L @ L.T, L @ 1, and the projections B @ M and B @ L.T of user space onto
+the item poles, where L = pref_to_user, M = user_to_pref and B is the
+pole incidence of the observed preferences (each preference joins its
+winner's win pole and its loser's loss pole).  All are n_users or
+n_items wide, never as wide as the preference side.
+
 Pole indexing: win pole of item i is i, loss pole is n_items + i.
 """
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -20,7 +29,7 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from .errors import DataError, EmptyGraphError, ParseError, PreferenceConflictError
-from .preferences import PreferenceStore, decode_pair, encode_pair
+from .preferences import PreferenceStore, decode_pair, encode_pair, sorted_unique
 
 _SNAPSHOT_MAGIC = b"UPGS"
 _SNAPSHOT_VERSION = 1
@@ -199,14 +208,49 @@ class UserPrefOperators:
     def user_walk_factor(self, alpha: float):
         """Sparse LU factor of I - (1 - alpha)**2 * L @ M, with L =
         pref_to_user and M = user_to_pref: the first walk's fixed point
-        in user space.  Built on first use for each alpha, then kept."""
+        in user space.  Built on first use for each alpha, then kept;
+        the first call also builds `user_space`."""
         lu = self._factors.get(alpha)
         if lu is None:
             keep = 1.0 - alpha
-            coupling = self.pref_to_user.matrix @ self.user_to_pref.matrix
-            system = sparse.identity(self.n_users) - keep * keep * coupling
+            system = sparse.identity(self.n_users) - keep * keep * self.user_space.coupling
             lu = self._factors[alpha] = splu(system.tocsc())
         return lu
+
+    @cached_property
+    def user_space(self) -> "UserSpaceOperators":
+        """The alpha-free matrices that rank from user space, built on
+        first use."""
+        to_user, to_pref = self.pref_to_user.matrix, self.user_to_pref.matrix
+        # L.T in CSR form: M's pattern, each preference's row holding 1/support
+        pref_to_user_t = sparse.csr_matrix(
+            (np.repeat(1.0 / self.pref_support, np.diff(to_pref.indptr)),
+             to_pref.indices, to_pref.indptr), shape=to_pref.shape)
+        n, n_prefs = self.n_items, self.observed_ids.size
+        winners, losers = decode_pair(self.observed_ids, n)
+        poles = sparse.csc_matrix(
+            (np.ones(2 * n_prefs), np.column_stack([winners, n + losers]).ravel(),
+             np.arange(0, 2 * n_prefs + 1, 2)), shape=(2 * n, n_prefs)).tocsr()
+        return UserSpaceOperators(
+            coupling=to_user @ to_pref,
+            gram=to_user @ pref_to_user_t,
+            restart_mass=np.asarray(to_user.sum(axis=1)).ravel(),
+            poles_from_users=poles @ to_pref,
+            poles_from_restart=(poles @ pref_to_user_t).tocsc(),
+        )
+
+
+@dataclass
+class UserSpaceOperators:
+    """Walk 1 seen from user space.  With L = pref_to_user, M =
+    user_to_pref and B the (2 * n_items x P) pole incidence of the
+    observed preferences, target u's restart is L.T[:, u] / (L @ 1)[u]."""
+
+    coupling: sparse.csr_matrix            # L @ M, n_users x n_users
+    gram: sparse.csr_matrix                # L @ L.T, symmetric: row u is column u
+    restart_mass: np.ndarray               # L @ 1, per user
+    poles_from_users: sparse.csr_matrix    # B @ M, 2 * n_items x n_users
+    poles_from_restart: sparse.csc_matrix  # B @ L.T, 2 * n_items x n_users
 
 
 def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
@@ -214,7 +258,7 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
     users, pids = g.edge_arrays()
     if users.size == 0:
         raise EmptyGraphError("graph has no edges")
-    observed = np.unique(pids)
+    observed = sorted_unique(pids)
     cols = np.searchsorted(observed, pids)
     support = np.bincount(cols, minlength=observed.size).astype(np.float64)
     degrees = np.bincount(users, minlength=g.n_users).astype(np.float64)
@@ -308,8 +352,8 @@ def connectivity_report(g: UserPrefGraph) -> ConnectivityReport:
     users, pids = g.edge_arrays()
     if users.size == 0:
         return ConnectivityReport(False, 0, 0, g.n_users)
-    observed = np.unique(pids)
-    active = np.unique(users)
+    observed = sorted_unique(pids)
+    active = np.flatnonzero(np.bincount(users, minlength=g.n_users))
     user_pos = np.searchsorted(active, users)
     pref_pos = active.size + np.searchsorted(observed, pids)
     n_nodes = active.size + observed.size

@@ -27,7 +27,11 @@ where W = s / (1 - 2c) is the total win mass (equal to the total loss
 mass).  At the fixed point a = k / (n_items - 1) * w, b = k / (n_items
 - 1) * l, the constant is 0 and the restart coefficient is beta.
 `solve_item_walk` returns that state in O(n_items), with no sweeps and,
-as its residual, the L1 change one more sweep would make.
+as its residual, the L1 change one more sweep would make.  Ranking
+hands it a restart known only by those marginals, projected from the
+first walk in user space (`RestartVector.from_poles`); the pair-level
+restart, which `pref_mass` and the iterate read, is built on first
+access.
 `run_item_walk` iterates the sweep from a uniform joint start instead,
 counting sweeps for the convergence tests.
 
@@ -36,7 +40,7 @@ items whose poles received (numerically) no mass at all score zero and
 are flagged undefined.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,31 +66,57 @@ class ItemWalkConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
 class RestartVector:
-    """Sparse distribution over the preference universe, with the
-    per-item marginals the structured sweep needs."""
+    """Sparse distribution over the preference universe.
 
-    n_items: int
-    pair_ids: np.ndarray  # sorted int64
-    weights: np.ndarray   # same length, sums to 1
-    winners: np.ndarray = field(init=False)
-    losers: np.ndarray = field(init=False)
-    win_sums: np.ndarray = field(init=False)   # weight per winning item
-    loss_sums: np.ndarray = field(init=False)  # weight per losing item
+    The walk's fixed point reads it only through its per-item marginals
+    `win_sums` and `loss_sums`.  The pair-level arrays (`pair_ids`,
+    `weights`, `winners`, `losers`), which `pref_mass` and the iterate
+    read, are built on first access."""
 
-    def __post_init__(self):
-        if self.pair_ids.shape != self.weights.shape:
+    def __init__(self, n_items: int, pair_ids: np.ndarray, weights: np.ndarray):
+        if pair_ids.shape != weights.shape:
             raise ValueError("pair_ids and weights must align")
-        if self.pair_ids.size == 0:
+        if pair_ids.size == 0:
             raise ValueError("restart vector needs at least one preference")
-        if abs(self.weights.sum() - 1.0) > 1e-9 or np.any(self.weights < 0):
+        if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
             raise ValueError("weights must be a distribution")
-        self.winners, self.losers = decode_pair(self.pair_ids, self.n_items)
-        self.win_sums = np.bincount(self.winners, weights=self.weights,
-                                    minlength=self.n_items)
-        self.loss_sums = np.bincount(self.losers, weights=self.weights,
-                                     minlength=self.n_items)
+        self.n_items = n_items
+        self._pairs = lambda: (pair_ids, weights)
+        self.win_sums = np.bincount(self.winners, weights=weights, minlength=n_items)
+        self.loss_sums = np.bincount(self.losers, weights=weights, minlength=n_items)
+
+    @classmethod
+    def from_poles(cls, concordance_poles: np.ndarray, observed_ids: np.ndarray,
+                   concordances) -> "RestartVector":
+        """`build_restart` from the first walk's concordance mass per item
+        pole (win poles, then loss poles), without the concordances:
+        `concordances()` returns them when the pair-level arrays are
+        first read."""
+        n = concordance_poles.size // 2
+        total = concordance_poles[:n].sum()
+        if total <= 0:
+            raise ValueError("concordances carry no mass")
+
+        def pairs():
+            c = concordances()
+            return np.asarray(observed_ids, dtype=np.int64), c / c.sum()
+
+        q = cls.__new__(cls)
+        q.n_items, q._pairs = n, pairs
+        q.win_sums = concordance_poles[:n] / total
+        q.loss_sums = concordance_poles[n:] / total
+        return q
+
+    @cached_property
+    def _pair_arrays(self):
+        pair_ids, weights = self._pairs()
+        return (pair_ids, weights, *decode_pair(pair_ids, self.n_items))
+
+    pair_ids = property(lambda self: self._pair_arrays[0])   # sorted int64
+    weights = property(lambda self: self._pair_arrays[1])    # sums to 1
+    winners = property(lambda self: self._pair_arrays[2])
+    losers = property(lambda self: self._pair_arrays[3])
 
 
 def build_restart(concordances: np.ndarray, observed_ids: np.ndarray,

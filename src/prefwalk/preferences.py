@@ -41,6 +41,16 @@ def dense_index(pair_id, n_items: int):
     return w * (n_items - 1) + l - (l > w)
 
 
+def sorted_unique(values) -> np.ndarray:
+    """np.unique of an integer array, by one sort and a change mask:
+    several times faster than np.unique on millions of pair ids."""
+    v = np.sort(np.asarray(values))
+    keep = np.empty(v.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def universe_size(n_items: int) -> int:
     """Number of possible ordered preferences over n_items."""
     return n_items * (n_items - 1)
@@ -99,9 +109,7 @@ class PreferenceStore:
 
     def observed_ids(self) -> np.ndarray:
         """Sorted union of all users' pair ids."""
-        if not self.pair_ids:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate([a for a in self.pair_ids] or [np.empty(0, np.int64)]))
+        return sorted_unique(np.concatenate([np.empty(0, np.int64), *self.pair_ids]))
 
 
 def derive_preferences(dataset) -> PreferenceStore:

@@ -10,16 +10,29 @@ back to the target's own preferences every sweep:
     concordances' = (1 - alpha) * user_to_pref(similarities) + alpha * restart
 
 The walk's result is its fixed point.  Writing L = pref_to_user and
-M = user_to_pref, eliminating the concordances leaves one system over
+M = user_to_pref, target u's restart is d = L.T[:, u] / Z_u with
+Z = L @ 1, and eliminating the concordances leaves one system over
 users,
 
-    (I - (1 - alpha)**2 * L @ M) s = (1 - alpha) * alpha * L @ restart
-    c = (1 - alpha) * M @ s + alpha * restart
+    (I - (1 - alpha)**2 * L @ M) s = (1 - alpha) * alpha * G[:, u] / Z_u
+    c = (1 - alpha) * M @ s + alpha * d
 
-which `solve_user_walk` solves against a sparse LU factor built once per
-operators and alpha.  L @ M is substochastic, so the system is
-nonsingular for alpha > 0.  Its result reports no sweeps and, as its
-residual, the joint L1 change one more sweep would make.
+with G = L @ L.T.  L @ M is substochastic, so the system is nonsingular
+for alpha > 0.  `solve_user_walk` solves it against a sparse LU factor
+built once per operators and alpha.  The second walk reads c only
+through its mass per item pole, B @ c for the pole incidence B, which
+the precomputed B @ M and B @ L.T give from s directly:
+
+    B @ c = (1 - alpha) * (B @ M) @ s + alpha * (B @ L.T)[:, u] / Z_u
+
+so ranking does O(n_users + n_items) work beside the solve and never
+builds a vector over preferences; c itself is built on first access.
+The result reports no sweeps and, as its residual, the joint L1 change
+one more sweep would make, also computed in user space: with m the
+joint mass of (s, c), it is
+
+    |(1 - alpha)**2 * L @ M @ s + (1 - alpha) * alpha * G[:, u] / Z_u - s|_1 / m
+        + alpha * |1 - 1 / m|
 
 `run_user_walk` iterates the sweep instead, from a uniform joint start,
 until the joint L1 change drops below tol; hitting max_iter first is
@@ -28,6 +41,7 @@ measure.  Both return vectors renormalized to unit joint L1 mass.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,23 +64,45 @@ class UserWalkConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
 class UserWalkResult:
-    similarities: np.ndarray  # per user
-    concordances: np.ndarray  # per observed preference
-    iterations: int
-    residual: float
-    converged: bool
+    """A walk state at unit joint L1 mass, with the sweeps that reached
+    it, its residual and whether that is below tol.
+
+    `concordances` (per observed preference) may be given as a function
+    of no arguments, called on first access.  `concordance_poles`, set
+    by `solve_user_walk` only, is the concordance mass per item pole:
+    win poles, then loss poles."""
+
+    def __init__(self, similarities: np.ndarray, concordances, iterations: int,
+                 residual: float, converged: bool,
+                 concordance_poles: np.ndarray | None = None):
+        self.similarities = similarities  # per user
+        self._concordances = concordances
+        self.iterations = iterations
+        self.residual = residual
+        self.converged = converged
+        self.concordance_poles = concordance_poles
+
+    @cached_property
+    def concordances(self) -> np.ndarray:
+        c = self._concordances
+        return c() if callable(c) else c
 
 
-def restart_vector(ops: UserPrefOperators, target: int) -> np.ndarray:
-    """Restart distribution over observed preferences: the target's own
-    preferences, discounted by how many users share each one."""
+def _check_target(ops: UserPrefOperators, target: int) -> np.ndarray:
+    """The target's preference columns; it must exist and hold some."""
     if not 0 <= target < ops.n_users:
         raise ValueError(f"user {target} out of range")
     cols = ops.pref_columns(target)
     if cols.size == 0:
         raise ColdStartError(f"user {target} has no preferences")
+    return cols
+
+
+def restart_vector(ops: UserPrefOperators, target: int) -> np.ndarray:
+    """Restart distribution over observed preferences: the target's own
+    preferences, discounted by how many users share each one."""
+    cols = _check_target(ops, target)
     d = np.zeros(ops.observed_ids.size)
     d[cols] = 1.0 / ops.pref_support[cols]
     return d / d.sum()
@@ -81,27 +117,48 @@ def _sweep(pref_to_user: StochasticOperator, user_to_pref: StochasticOperator,
     return sim_next, con_next, residual
 
 
-def _check_finite(sim: np.ndarray, con: np.ndarray) -> None:
-    if not (np.all(np.isfinite(sim)) and np.all(np.isfinite(con))):
+def _check_finite(*vectors: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(v)) for v in vectors):
         raise NumericalError("user walk produced non-finite values")
 
 
-def solve_user_walk(ops: UserPrefOperators, restart: np.ndarray,
+def _column(matrix, u: int):
+    """(row indices, values) of column u of a CSC matrix, or of row u of
+    a CSR one."""
+    lo, hi = matrix.indptr[u], matrix.indptr[u + 1]
+    return matrix.indices[lo:hi], matrix.data[lo:hi]
+
+
+def solve_user_walk(ops: UserPrefOperators, target: int,
                     config: UserWalkConfig | None = None) -> UserWalkResult:
-    """The walk's fixed point, from one solve against the operators'
-    memoized factor for this alpha (see the module docstring)."""
+    """The walk's fixed point for one target user, from one solve against
+    the operators' memoized factor for this alpha, in user space (see
+    the module docstring)."""
     cfg = config or UserWalkConfig()
-    if restart.shape != (ops.observed_ids.size,):
-        raise ValueError("restart vector does not match the preference side")
-    keep = 1.0 - cfg.alpha
-    jump = cfg.alpha * restart
-    sim = ops.user_walk_factor(cfg.alpha).solve(keep * ops.pref_to_user.apply(jump))
-    con = keep * ops.user_to_pref.apply(sim) + jump
-    _check_finite(sim, con)
-    mass = sim.sum() + con.sum()
-    sim, con = sim / mass, con / mass
-    residual = _sweep(ops.pref_to_user, ops.user_to_pref, keep, jump, sim, con)[2]
-    return UserWalkResult(sim, con, 0, residual, residual < cfg.tol)
+    _check_target(ops, target)
+    alpha, keep = cfg.alpha, 1.0 - cfg.alpha
+    factor = ops.user_walk_factor(alpha)
+    space = ops.user_space
+    z = space.restart_mass[target]
+    rhs = np.zeros(ops.n_users)
+    rows, vals = _column(space.gram, target)
+    rhs[rows] = keep * alpha * vals / z
+    sim = factor.solve(rhs)
+    poles = keep * (space.poles_from_users @ sim)
+    rows, vals = _column(space.poles_from_restart, target)
+    poles[rows] += alpha * vals / z
+    _check_finite(sim, poles)
+    # every preference has one winner, so the win poles hold the concordance mass
+    mass = sim.sum() + poles[:ops.n_items].sum()
+    moved = keep * keep * (space.coupling @ sim) + rhs - sim
+    residual = float(np.abs(moved).sum() / mass + alpha * abs(1.0 - 1.0 / mass))
+
+    def concordances():
+        con = keep * ops.user_to_pref.apply(sim) + alpha * restart_vector(ops, target)
+        return con / mass
+
+    return UserWalkResult(sim / mass, concordances, 0, residual, residual < cfg.tol,
+                          poles / mass)
 
 
 def run_user_walk(pref_to_user: StochasticOperator, user_to_pref: StochasticOperator,

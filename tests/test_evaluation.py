@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import first_warm_user, random_ratings, random_store
 
-from prefwalk import (PreferenceStore, SplitSpec, UserPrefGraph, collect_diagnostics,
+from prefwalk import (ColdStartError, ItemWalkConfig, PreferenceStore, SplitSpec,
+                      UserPrefGraph, UserWalkConfig, collect_diagnostics, decode_pair,
                       derive_preferences, distinct_levels, item_pole_operators,
                       loads_ratings, ndcg_at_k, rank_items_for_user, run_evaluation,
                       upl_split, user_pref_operators)
-from prefwalk.item_walk import build_restart, recommend_topk, score_items, solve_item_walk
+from prefwalk.item_walk import (RestartVector, build_restart, recommend_topk, score_items,
+                                solve_item_walk)
 from prefwalk.user_walk import restart_vector, solve_user_walk
 
 
@@ -83,14 +86,139 @@ def test_rank_items_matches_manual_pipeline():
     w_op, t_op = item_pole_operators(store.n_items)
     target = first_warm_user(store)
     outcome = rank_items_for_user(ops, w_op, t_op, target, k=4, exclude={0})
-    first = solve_user_walk(ops, restart_vector(ops, target))
-    q = build_restart(first.concordances, ops.observed_ids, ops.n_items)
+    first = solve_user_walk(ops, target)
+    q = RestartVector.from_poles(first.concordance_poles, ops.observed_ids,
+                                 lambda: first.concordances)
     second = solve_item_walk(w_op, t_op, q)
     scored = score_items(second)
     assert np.array_equal(outcome.items, recommend_topk(scored, 4, exclude={0}))
     assert 0 not in set(int(i) for i in outcome.items)
     assert np.array_equal(outcome.scored.scores, scored.scores)
     assert outcome.first.iterations == 0 and outcome.second.iterations == 0
+
+
+def _warm_instance(seed):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_users=int(rng.integers(1, 9)),
+                         n_items=int(rng.integers(2, 9)), fill=float(rng.uniform(0.2, 0.8)))
+    if store.total == 0:
+        store = PreferenceStore.from_pairs(1, 2, [[(0, 1)]])
+    warm = [u for u in range(store.n_users) if store.count(u) > 0]
+    return store, int(rng.choice(warm)), float(rng.uniform(0.05, 1.0)), float(
+        rng.uniform(0.05, 1.0))
+
+
+def _p_space_walks(ops, w_op, t_op, target, alpha, beta):
+    """Both walks through vectors over the observed preferences: the
+    restart, one solve against the same factor, the concordances, then
+    the item walk's restart from them."""
+    keep = 1.0 - alpha
+    jump = alpha * restart_vector(ops, target)
+    sim = ops.user_walk_factor(alpha).solve(keep * ops.pref_to_user.apply(jump))
+    con = keep * ops.user_to_pref.apply(sim) + jump
+    mass = sim.sum() + con.sum()
+    q = build_restart(con / mass, ops.observed_ids, ops.n_items)
+    return sim / mass, con / mass, solve_item_walk(w_op, t_op, q, ItemWalkConfig(beta=beta))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_pole_marginals_match_lazy_concordances(seed):
+    store, target, alpha, beta = _warm_instance(seed)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    n = store.n_items
+    out = rank_items_for_user(ops, *item_pole_operators(n), target, k=n,
+                              walk1=UserWalkConfig(alpha=alpha), walk2=ItemWalkConfig(beta=beta))
+    con = out.first.concordances
+    winners, losers = decode_pair(ops.observed_ids, n)
+    poles = out.first.concordance_poles
+    assert np.abs(poles[:n] - np.bincount(winners, con, minlength=n)).max() <= 1e-15
+    assert np.abs(poles[n:] - np.bincount(losers, con, minlength=n)).max() <= 1e-15
+    q = out.second._restart
+    assert np.array_equal(q.pair_ids, ops.observed_ids)
+    assert np.abs(q.win_sums - np.bincount(q.winners, q.weights, minlength=n)).max() <= 1e-15
+    assert np.abs(q.loss_sums - np.bincount(q.losers, q.weights, minlength=n)).max() <= 1e-15
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_user_space_residual_is_one_sweep_change(seed):
+    store, target, alpha, _ = _warm_instance(seed)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    first = solve_user_walk(ops, target, UserWalkConfig(alpha=alpha))
+    sim, con, keep = first.similarities, first.concordances, 1.0 - alpha
+    sim_next = keep * ops.pref_to_user.apply(con)
+    con_next = keep * ops.user_to_pref.apply(sim) + alpha * restart_vector(ops, target)
+    moved = np.abs(sim_next - sim).sum() + np.abs(con_next - con).sum()
+    assert abs(first.residual - moved) <= 1e-15
+    assert first.converged
+    assert type(first.residual) is float and type(first.converged) is bool  # JSON-ready
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_scores_match_p_space_pipeline(seed):
+    store, target, alpha, beta = _warm_instance(seed)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    n = store.n_items
+    w_op, t_op = item_pole_operators(n)
+    out = rank_items_for_user(ops, w_op, t_op, target, k=n,
+                              walk1=UserWalkConfig(alpha=alpha), walk2=ItemWalkConfig(beta=beta))
+    sim, con, second = _p_space_walks(ops, w_op, t_op, target, alpha, beta)
+    scored = score_items(second)
+    assert np.abs(out.first.similarities - sim).max() <= 1e-14
+    assert np.abs(out.first.concordances - con).max() <= 1e-14
+    assert np.abs(out.scored.scores - scored.scores).max() <= 1e-14
+    assert np.array_equal(out.items, recommend_topk(scored, n))
+    assert np.abs(out.second.pref_mass - second.pref_mass).max() <= 1e-14
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_rank_alpha_one_and_beta_one(seed):
+    store, target, _, _ = _warm_instance(seed)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    poles = item_pole_operators(store.n_items)
+    out = rank_items_for_user(ops, *poles, target, walk1=UserWalkConfig(alpha=1.0))
+    assert np.all(out.first.similarities == 0.0)
+    assert np.abs(out.first.concordances - restart_vector(ops, target)).max() <= 1e-15
+    assert out.first.converged
+    out = rank_items_for_user(ops, *poles, target, walk2=ItemWalkConfig(beta=1.0))
+    assert np.all(out.scored.scores == 0.0) and not out.scored.defined.any()
+
+
+def test_ranking_builds_no_preference_sized_vector():
+    ds = random_ratings(np.random.default_rng(5), n_users=4, n_items=400,
+                        min_per_user=400, raw_offset=0)
+    ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(ds)))
+    n_prefs = ops.observed_ids.size
+    assert n_prefs > 100 * (ops.n_users + ops.n_items)
+    poles = item_pole_operators(ds.n_items)
+    rank_items_for_user(ops, *poles, 0)  # builds the factor and the user-space matrices
+
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the probe sees a vector over preferences where one is built
+    assert peak_bytes(lambda: restart_vector(ops, 1)) >= n_prefs * 8
+    rated = ds.user_rows(1)[0]
+    assert peak_bytes(lambda: rank_items_for_user(ops, *poles, 1, exclude=rated)) < n_prefs * 8 / 4
+
+
+def test_rank_cold_and_out_of_range_targets():
+    store = PreferenceStore.from_pairs(3, 3, [[(0, 1)], [], [(1, 2)]])
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    poles = item_pole_operators(3)
+    with pytest.raises(ColdStartError):
+        rank_items_for_user(ops, *poles, 1)
+    for target in (-1, 3):
+        with pytest.raises(ValueError):
+            rank_items_for_user(ops, *poles, target)
 
 
 @settings(deadline=None, max_examples=30)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_store
 
@@ -7,6 +8,7 @@ from prefwalk import (EmptyGraphError, ParseError, PreferenceConflictError,
                       PreferenceStore, UserPrefGraph, connectivity_report,
                       encode_pair, item_pole_operators, universe_size,
                       user_pref_operators)
+from prefwalk.preferences import decode_pair
 from prefwalk.reference import dense_pole_matrices, dense_user_pref_matrices
 
 
@@ -117,6 +119,47 @@ def test_operators_match_dense_and_are_stochastic():
     active = ops.user_degrees > 0
     assert np.abs(msum[active] - 1.0).max() <= 1e-12
     assert np.all(msum[~active] == 0.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_pair_id_sets_match_np_unique(seed):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_users=int(rng.integers(1, 9)),
+                         n_items=int(rng.integers(2, 8)), fill=float(rng.uniform(0.05, 0.9)))
+    g = UserPrefGraph.from_store(store)
+    users, pids = g.edge_arrays()
+    assert np.array_equal(store.observed_ids(), np.unique(pids))
+    rep = connectivity_report(g)
+    assert rep.n_active_users == np.unique(users).size
+    if users.size:
+        ops = user_pref_operators(g)
+        assert np.array_equal(ops.observed_ids, np.unique(pids))
+        assert np.array_equal(ops.pref_col_indices, np.unique(pids, return_inverse=True)[1])
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_user_space_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_users=int(rng.integers(1, 8)),
+                         n_items=int(rng.integers(2, 7)), fill=0.5)
+    if store.total == 0:
+        return
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    observed, _, l_dense, m_dense = dense_user_pref_matrices(store)
+    n = store.n_items
+    winners, losers = decode_pair(observed, n)
+    b_dense = np.zeros((2 * n, observed.size))
+    b_dense[winners, np.arange(observed.size)] = 1.0
+    b_dense[n + losers, np.arange(observed.size)] = 1.0
+    space = ops.user_space
+    for got, want in ((space.coupling, l_dense @ m_dense), (space.gram, l_dense @ l_dense.T),
+                      (space.poles_from_users, b_dense @ m_dense),
+                      (space.poles_from_restart, b_dense @ l_dense.T)):
+        assert np.abs(got.toarray() - want).max() <= 1e-15
+    assert np.abs(space.restart_mass - l_dense.sum(axis=1)).max() <= 1e-15
+    assert ops.user_space is space
 
 
 def test_empty_graph_rejected():

@@ -50,6 +50,27 @@ def test_build_restart_rejects_zero_mass():
         build_restart(np.zeros(3), np.array([1, 2, 3]), 3)
 
 
+def test_from_poles_builds_pair_arrays_once_on_first_read():
+    rng = np.random.default_rng(4)
+    n = 5
+    offdiag = np.flatnonzero(~np.eye(n, dtype=bool).ravel())
+    ids = np.sort(rng.choice(offdiag, size=8, replace=False))
+    c = rng.random(ids.size)
+    full = build_restart(c, ids, n)
+    poles = np.concatenate([np.bincount(full.winners, c, minlength=n),
+                            np.bincount(full.losers, c, minlength=n)])
+    calls = []
+    lazy = RestartVector.from_poles(poles, ids, lambda: calls.append(1) or c)
+    assert np.abs(lazy.win_sums - full.win_sums).max() <= 1e-15
+    assert np.abs(lazy.loss_sums - full.loss_sums).max() <= 1e-15
+    assert not calls
+    for attr in ("pair_ids", "weights", "winners", "losers"):
+        assert np.array_equal(getattr(lazy, attr), getattr(full, attr))
+    assert calls == [1]
+    with pytest.raises(ValueError):
+        RestartVector.from_poles(np.zeros(2 * n), ids, lambda: c)
+
+
 def test_restart_vector_validation():
     with pytest.raises(ValueError):
         RestartVector(3, np.array([1, 2]), np.array([0.5]))

@@ -7,6 +7,7 @@ from helpers import random_ratings
 from prefwalk import (PreferenceConflictError, PreferenceStore, decode_pair,
                       dense_index, derive_preferences, encode_pair, loads_ratings,
                       universe_size)
+from prefwalk.preferences import sorted_unique
 
 
 def test_encode_decode_roundtrip_scalar():
@@ -102,3 +103,17 @@ def test_observed_ids_union():
     store = PreferenceStore.from_pairs(2, 3, [[(0, 1)], [(0, 1), (2, 0)]])
     assert list(store.observed_ids()) == [encode_pair(0, 1, 3), encode_pair(2, 0, 3)]
     assert store.total == 3
+
+
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=300))
+def test_sorted_unique_matches_np_unique(values):
+    v = np.array(values, dtype=np.int64)
+    got = sorted_unique(v)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(v))
+
+
+def test_observed_ids_of_empty_store():
+    store = PreferenceStore(2, 3, [np.empty(0, np.int64), np.empty(0, np.int64)])
+    assert store.observed_ids().size == 0 and store.observed_ids().dtype == np.int64
+    assert PreferenceStore(0, 3, []).observed_ids().size == 0

@@ -149,7 +149,7 @@ def test_restart_shape_checked():
     with pytest.raises(ValueError):
         run_user_walk(ops.pref_to_user, ops.user_to_pref, np.ones(1) * 1.0)
     with pytest.raises(ValueError):
-        solve_user_walk(ops, np.ones(1))
+        solve_user_walk(ops, store.n_users)
 
 
 @settings(deadline=None, max_examples=30)
@@ -161,8 +161,9 @@ def test_exact_matches_converged_iterate(seed, alpha):
     if store.total == 0:
         return
     ops = ops_for(store)
-    d = restart_vector(ops, first_warm_user(store))
-    exact = solve_user_walk(ops, d, UserWalkConfig(alpha=alpha))
+    target = first_warm_user(store)
+    d = restart_vector(ops, target)
+    exact = solve_user_walk(ops, target, UserWalkConfig(alpha=alpha))
     it = run_user_walk(ops.pref_to_user, ops.user_to_pref, d,
                        UserWalkConfig(alpha=alpha, tol=1e-14, max_iter=5000))
     assert it.converged
@@ -181,8 +182,9 @@ def test_exact_alpha_one_pins_concordance_to_restart(seed):
     if store.total == 0:
         return
     ops = ops_for(store)
-    d = restart_vector(ops, first_warm_user(store))
-    res = solve_user_walk(ops, d, UserWalkConfig(alpha=1.0))
+    target = first_warm_user(store)
+    d = restart_vector(ops, target)
+    res = solve_user_walk(ops, target, UserWalkConfig(alpha=1.0))
     assert np.all(res.similarities == 0.0)
     assert np.abs(res.concordances - d).max() <= 1e-15
     assert res.converged
@@ -199,9 +201,8 @@ def test_factor_reuse_matches_fresh_operators(seed, alpha):
     warm = [u for u in range(store.n_users) if store.count(u) > 0]
     for cfg in (UserWalkConfig(alpha=alpha), UserWalkConfig(), UserWalkConfig(alpha=alpha)):
         for u in warm:  # the shared operators reuse one factor per alpha
-            reused = solve_user_walk(shared, restart_vector(shared, u), cfg)
-            fresh_ops = ops_for(store)
-            fresh = solve_user_walk(fresh_ops, restart_vector(fresh_ops, u), cfg)
+            reused = solve_user_walk(shared, u, cfg)
+            fresh = solve_user_walk(ops_for(store), u, cfg)
             assert np.array_equal(reused.similarities, fresh.similarities)
             assert np.array_equal(reused.concordances, fresh.concordances)
     assert shared.user_walk_factor(alpha) is shared.user_walk_factor(alpha)
