@@ -255,7 +255,7 @@ class UserDiagnostics:
     similarity_levels: int
     concordance_fraction: float  # share of the pair universe, first walk
     concordance_levels: int
-    pref_mass_fraction: float    # share of the pair universe, second walk
+    pref_mass_fraction: float    # share of the pair universe, second walk; 1 at beta < 1
     pref_mass_levels: int
     first_iterations: int
     first_converged: bool

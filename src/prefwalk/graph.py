@@ -36,8 +36,11 @@ _SNAPSHOT_VERSION = 1
 
 
 class UserPrefGraph:
-    """Mutable bipartite user/preference graph.
+    """Mutable bipartite user/preference graph over one PreferenceStore.
 
+    The graph never writes its store's CSR arrays: `from_store` and
+    `to_store` share them in O(1), and each mutation builds new arrays,
+    at O(edges) per call, so a store handed in or out never changes.
     Preference nodes exist only once some user holds the preference;
     adding an edge a user already has is a no-op, and adding the
     reverse orientation of one of their pairs is an error.
@@ -46,90 +49,77 @@ class UserPrefGraph:
     def __init__(self, n_users: int, n_items: int):
         if n_users < 0 or n_items < 0:
             raise ValueError("negative node counts")
-        self.n_users = n_users
-        self.n_items = n_items
-        self._prefs = [set() for _ in range(n_users)]
+        self._store = PreferenceStore(n_users, n_items, [0] * (n_users + 1), [])
 
     @classmethod
     def from_store(cls, store: PreferenceStore) -> "UserPrefGraph":
-        g = cls(store.n_users, store.n_items)
-        for u, ids in enumerate(store.pair_ids):
-            g._prefs[u].update(int(p) for p in ids)
+        g = cls(0, 0)
+        g._store = store
         return g
 
     def to_store(self) -> PreferenceStore:
-        arrays = [np.array(sorted(s), dtype=np.int64) for s in self._prefs]
-        return PreferenceStore(self.n_users, self.n_items, arrays)
+        return self._store
+
+    n_users = property(lambda self: self._store.n_users)
+    n_items = property(lambda self: self._store.n_items)
 
     # -- mutation ---------------------------------------------------------
 
     def add_user(self) -> int:
         """Append an isolated user; returns its id."""
-        self._prefs.append(set())
-        self.n_users += 1
-        return self.n_users - 1
+        s = self._store
+        self._store = PreferenceStore(s.n_users + 1, s.n_items,
+                                      np.append(s.indptr, s.indptr[-1]), s.pair_ids)
+        return s.n_users
 
     def add_item(self) -> int:
-        """Grow the item universe; returns the new item's id.
-
-        Pair ids depend on the item count, so every stored id is
-        re-encoded.  Linear in the number of edges.
-        """
-        old_n, new_n = self.n_items, self.n_items + 1
-        for s in self._prefs:
-            if s:
-                ids = np.fromiter(s, dtype=np.int64, count=len(s))
-                w, l = decode_pair(ids, old_n)
-                s.clear()
-                s.update(int(p) for p in encode_pair(w, l, new_n))
-        self.n_items = new_n
-        return new_n - 1
+        """Grow the item universe; returns the new item's id.  Pair ids
+        depend on the item count, so every stored id is re-encoded."""
+        s = self._store
+        w, l = decode_pair(s.pair_ids, s.n_items)
+        self._store = PreferenceStore(s.n_users, s.n_items + 1, s.indptr,
+                                      encode_pair(w, l, s.n_items + 1))
+        return s.n_items
 
     def add_preference(self, user: int, pair) -> None:
         """Attach one (winner, loser) preference to a user."""
-        w, l = int(pair[0]), int(pair[1])
-        if not 0 <= user < self.n_users:
+        s, w, l = self._store, int(pair[0]), int(pair[1])
+        if not 0 <= user < s.n_users:
             raise ValueError(f"user {user} out of range")
-        if w == l or not (0 <= w < self.n_items and 0 <= l < self.n_items):
+        if w == l or not (0 <= w < s.n_items and 0 <= l < s.n_items):
             raise ValueError(f"invalid item pair ({w}, {l})")
-        pid = w * self.n_items + l
-        flipped = l * self.n_items + w
-        if flipped in self._prefs[user]:
+        held, pid = s.prefs_of(user), w * s.n_items + l
+        if l * s.n_items + w in held:
             raise PreferenceConflictError(
-                f"user {user}: both orientations of items ({w}, {l}) asserted"
-            )
-        self._prefs[user].add(pid)
+                f"user {user}: both orientations of items ({w}, {l}) asserted")
+        if pid not in held:
+            pair_ids = np.insert(s.pair_ids, s.indptr[user] + np.searchsorted(held, pid), pid)
+            self._store = PreferenceStore(s.n_users, s.n_items,
+                                          s.indptr + (np.arange(s.n_users + 1) > user), pair_ids)
 
     # -- inspection -------------------------------------------------------
 
     def prefs_of(self, user: int) -> np.ndarray:
-        return np.array(sorted(self._prefs[user]), dtype=np.int64)
+        return self._store.prefs_of(user)
 
     def user_degree(self, user: int) -> int:
-        return len(self._prefs[user])
+        return self._store.count(user)
 
     @property
     def n_edges(self) -> int:
-        return sum(len(s) for s in self._prefs)
+        return self._store.total
 
     def edge_arrays(self):
         """(users, pair_ids) for every edge, sorted by (user, pair_id)."""
-        n = self.n_edges
-        users = np.empty(n, dtype=np.int64)
-        pids = np.empty(n, dtype=np.int64)
-        at = 0
-        for u, s in enumerate(self._prefs):
-            k = len(s)
-            users[at:at + k] = u
-            pids[at:at + k] = sorted(s)
-            at += k
-        return users, pids
+        s = self._store
+        return np.repeat(np.arange(s.n_users, dtype=np.int64), np.diff(s.indptr)), s.pair_ids
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UserPrefGraph):
             return NotImplemented
-        return (self.n_users == other.n_users and self.n_items == other.n_items
-                and self._prefs == other._prefs)
+        a, b = self._store, other._store
+        return (a.n_users == b.n_users and a.n_items == b.n_items
+                and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.pair_ids, b.pair_ids))
 
     # -- snapshot ---------------------------------------------------------
 
@@ -137,21 +127,18 @@ class UserPrefGraph:
         """Binary snapshot: magic, version, counts, then (user, pair_id)
         edge pairs as little-endian 32-bit unsigned ints."""
         users, pids = self.edge_arrays()
-        limit = 2 ** 32
-        if self.n_users >= limit or self.n_items * self.n_items >= limit:
+        if max(self.n_users, self.n_items * self.n_items) >= 2 ** 32:
             raise DataError("graph too large for the 32-bit snapshot format")
         header = _SNAPSHOT_MAGIC + struct.pack(
-            "<III", _SNAPSHOT_VERSION, self.n_users, self.n_items
-        ) + struct.pack("<I", len(users))
-        edges = np.empty((len(users), 2), dtype="<u4")
-        edges[:, 0] = users
-        edges[:, 1] = pids
+            "<IIII", _SNAPSHOT_VERSION, self.n_users, self.n_items, len(users))
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(edges.tobytes())
+            fh.write(np.column_stack([users, pids]).astype("<u4").tobytes())
 
     @classmethod
     def load(cls, path) -> "UserPrefGraph":
+        """Read a snapshot written by `save`.  Edges may come in any
+        order; duplicates collapse, as `add_preference` would."""
         with open(path, "rb") as fh:
             blob = fh.read()
         if len(blob) < 20 or blob[:4] != _SNAPSHOT_MAGIC:
@@ -162,14 +149,13 @@ class UserPrefGraph:
         body = np.frombuffer(blob[20:], dtype="<u4")
         if body.size != 2 * n_edges:
             raise ParseError(f"{path}: expected {n_edges} edges, found {body.size // 2}")
-        edges = body.reshape(-1, 2).astype(np.int64)
-        g = cls(n_users, n_items)
-        for u, pid in edges:
-            w, l = int(pid) // n_items, int(pid) % n_items
-            if w == l or w >= n_items or u >= n_users:
-                raise ParseError(f"{path}: edge ({u}, {pid}) out of range")
-            g.add_preference(int(u), (w, l))
-        return g
+        users, pids = body.reshape(-1, 2).astype(np.int64).T
+        w, l = np.divmod(pids, max(n_items, 1))
+        bad = (users >= n_users) | (w >= n_items) | (w == l)
+        if bad.any():
+            at = bad.argmax()
+            raise ParseError(f"{path}: edge ({users[at]}, {pids[at]}) out of range")
+        return cls.from_store(PreferenceStore.from_edges(n_users, n_items, users, pids))
 
 
 @dataclass
@@ -254,23 +240,23 @@ class UserSpaceOperators:
 
 
 def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
-    """Column-normalized transition operators of the user/preference graph."""
-    users, pids = g.edge_arrays()
-    if users.size == 0:
+    """Column-normalized transition operators of the user/preference
+    graph, read straight from its store's CSR arrays: L = pref_to_user
+    takes the store's row layout, and M = user_to_pref is its transpose."""
+    store = g.to_store()
+    indptr, pids = store.indptr, store.pair_ids
+    if pids.size == 0:
         raise EmptyGraphError("graph has no edges")
     observed = sorted_unique(pids)
-    cols = np.searchsorted(observed, pids)
+    cols = np.searchsorted(observed, pids)  # ascending within each user, as pids are
     support = np.bincount(cols, minlength=observed.size).astype(np.float64)
-    degrees = np.bincount(users, minlength=g.n_users).astype(np.float64)
-
-    to_user = sparse.csr_matrix(
-        (1.0 / support[cols], (users, cols)), shape=(g.n_users, observed.size)
-    )
-    to_pref = sparse.csr_matrix(
-        (1.0 / degrees[users], (cols, users)), shape=(observed.size, g.n_users)
-    )
-    indptr = np.zeros(g.n_users + 1, dtype=np.int64)
-    np.cumsum(degrees.astype(np.int64), out=indptr[1:])
+    counts = np.diff(indptr)
+    degrees = counts.astype(np.float64)
+    shape = (g.n_users, observed.size)
+    to_user = sparse.csr_matrix((1.0 / support[cols], cols, indptr), shape=shape)
+    # M in CSC form has L's pattern: column u holds u's preferences
+    to_pref = sparse.csc_matrix((1.0 / np.repeat(degrees, counts), cols, indptr),
+                                shape=shape[::-1]).tocsr()
     return UserPrefOperators(
         n_users=g.n_users,
         n_items=g.n_items,
@@ -280,7 +266,7 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
         pref_to_user=StochasticOperator("pref_to_user", to_user),
         user_to_pref=StochasticOperator("user_to_pref", to_pref),
         pref_col_indptr=indptr,
-        pref_col_indices=cols,  # edge_arrays is sorted by user, so this aligns
+        pref_col_indices=cols,
     )
 
 
@@ -349,21 +335,14 @@ class ConnectivityReport:
 
 def connectivity_report(g: UserPrefGraph) -> ConnectivityReport:
     """Connected components over users-with-edges plus preference nodes."""
-    users, pids = g.edge_arrays()
-    if users.size == 0:
-        return ConnectivityReport(False, 0, 0, g.n_users)
-    observed = sorted_unique(pids)
-    active = np.flatnonzero(np.bincount(users, minlength=g.n_users))
-    user_pos = np.searchsorted(active, users)
-    pref_pos = active.size + np.searchsorted(observed, pids)
-    n_nodes = active.size + observed.size
-    adj = sparse.coo_matrix(
-        (np.ones(users.size), (user_pos, pref_pos)), shape=(n_nodes, n_nodes)
-    )
-    n_comp, _ = csgraph.connected_components(adj, directed=False)
-    return ConnectivityReport(
-        connected=bool(n_comp == 1),
-        n_components=int(n_comp),
-        n_active_users=int(active.size),
-        n_isolated_users=int(g.n_users - active.size),
-    )
+    store = g.to_store()
+    isolated = int(np.count_nonzero(np.diff(store.indptr) == 0))
+    observed = sorted_unique(store.pair_ids)
+    n_nodes = g.n_users + observed.size
+    # users, then preferences; each user's row lists its preference nodes
+    cols = g.n_users + np.searchsorted(observed, store.pair_ids)
+    indptr = np.r_[store.indptr, np.full(observed.size, store.total)]
+    adj = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n_nodes, n_nodes))
+    # every isolated user is a component of its own, and is not counted
+    n_comp = csgraph.connected_components(adj, directed=False)[0] - isolated
+    return ConnectivityReport(bool(n_comp == 1), int(n_comp), g.n_users - isolated, isolated)

@@ -35,9 +35,9 @@ access.
 `run_item_walk` iterates the sweep from a uniform joint start instead,
 counting sweeps for the convergence tests.
 
-An item's score is the share of its win pole in its total pole mass;
-items whose poles received (numerically) no mass at all score zero and
-are flagged undefined.
+An item's score is the share of its win pole in its total pole mass.
+Items whose poles hold (numerically) no mass, which happens only at or
+near beta = 1, score zero and are flagged undefined.
 """
 
 from dataclasses import dataclass
@@ -294,12 +294,16 @@ def score_items(result: ItemWalkResult) -> ScoredItems:
 
 
 def recommend_topk(scored: ScoredItems, k: int, exclude=()) -> np.ndarray:
-    """Top-k item ids by score, ties broken toward the smaller id."""
+    """Top-k item ids by score, ties broken toward the smaller id, as a stable
+    descending sort gives them; only the k items at or above the k-th score are sorted."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    order = np.argsort(-scored.scores, kind="stable")
-    if len(exclude):
-        banned = np.zeros(scored.scores.size, dtype=bool)
-        banned[np.asarray(list(exclude), dtype=np.int64)] = True
-        order = order[~banned[order]]
-    return order[:k].astype(np.int64)
+    allowed = np.ones(scored.scores.size, dtype=bool)
+    allowed[np.asarray(list(exclude), dtype=np.int64)] = False
+    ids = np.flatnonzero(allowed)
+    neg = -scored.scores[ids]
+    if 0 < k < ids.size and not np.isnan(kth := np.partition(neg, k - 1)[k - 1]):
+        keep = neg < kth  # and the smallest ids among those tied with the k-th
+        keep[np.flatnonzero(neg == kth)[:k - np.count_nonzero(keep)]] = True
+        ids, neg = ids[keep], neg[keep]
+    return ids[np.argsort(neg, kind="stable")[:k]]

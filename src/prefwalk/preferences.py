@@ -10,9 +10,14 @@ so the full universe of possible preferences over n_items has
 n_items * (n_items - 1) members (the diagonal is invalid).  The encoding
 is dense-item-id based, which makes ids cheap to sort and intersect but
 means they must be recomputed if the item universe grows.
+
+A PreferenceStore keeps every user's ids in one CSR layout: `indptr`
+(n_users + 1 offsets) into one flat int64 `pair_ids` array, ascending
+and unique within each user.  It is the only in-memory form of the
+preferences; the graph and its operators read these arrays directly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,77 +63,89 @@ def universe_size(n_items: int) -> int:
 
 @dataclass
 class PreferenceStore:
-    """Observed preferences, grouped per user as sorted unique pair ids."""
+    """Observed preferences in CSR form: user u holds pair_ids[indptr[u]:
+    indptr[u + 1]], ascending and unique.  The arrays are never written
+    after construction, so graphs and operators share them uncopied."""
 
     n_users: int
     n_items: int
-    pair_ids: list = field(default_factory=list)  # one int64 array per user
+    indptr: np.ndarray    # int64, n_users + 1 offsets into pair_ids
+    pair_ids: np.ndarray  # int64, all users' ids, one sorted run per user
 
     def __post_init__(self):
-        if len(self.pair_ids) != self.n_users:
-            raise ValueError("pair_ids must hold one array per user")
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.pair_ids = np.asarray(self.pair_ids, dtype=np.int64)
+        if (self.indptr.shape != (self.n_users + 1,) or self.indptr[0] != 0
+                or self.indptr[-1] != self.pair_ids.size):
+            raise ValueError("indptr must hold n_users + 1 offsets spanning pair_ids")
+
+    @classmethod
+    def from_edges(cls, n_users: int, n_items: int, users, pair_ids) -> "PreferenceStore":
+        """Build from in-range (user, pair id) edges in any order.  Duplicates
+        collapse; one user holding both orientations of an item pair is rejected."""
+        span = max(n_items * n_items, 1)  # every pair id is below it
+        if n_users * span >= 2 ** 63:
+            raise ValueError("too many users and items to key edges as int64")
+        keys = np.asarray(users, dtype=np.int64) * span + np.asarray(pair_ids, dtype=np.int64)
+        users, pair_ids = np.divmod(sorted_unique(keys), span)
+        w, l = decode_pair(pair_ids, n_items)
+        # with duplicates gone, a user holding an unordered pair twice holds both orientations
+        held = np.sort(users * span + np.minimum(w, l) * n_items + np.maximum(w, l))
+        twice = held[1:][held[1:] == held[:-1]]
+        if twice.size:
+            u, (a, b) = twice[0] // span, decode_pair(twice[0] % span, n_items)
+            raise PreferenceConflictError(
+                f"user {u}: both orientations of items ({a}, {b}) asserted")
+        return cls(n_users, n_items, np.searchsorted(users, np.arange(n_users + 1)), pair_ids)
 
     @classmethod
     def from_pairs(cls, n_users: int, n_items: int, pairs_by_user) -> "PreferenceStore":
-        """Build from per-user iterables of (winner, loser) tuples.
+        """Build from per-user iterables of (winner, loser) tuples, one
+        user per iterable, as from_edges does."""
+        pairs = [list(p) for p in pairs_by_user]
+        users = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
+        w, l = np.array([x for p in pairs for x in p], dtype=np.int64).reshape(-1, 2).T
+        bad = (w == l) | (np.minimum(w, l) < 0) | (np.maximum(w, l) >= n_items)
+        if bad.any():
+            raise ValueError(f"user {users[bad.argmax()]}: pair out of range")
+        return cls.from_edges(len(pairs), n_items, users, encode_pair(w, l, n_items))
 
-        Duplicates collapse; asserting both orientations of the same
-        item pair for one user is rejected.
-        """
-        arrays = []
-        for u, pairs in enumerate(pairs_by_user):
-            pairs = list(pairs)
-            if not pairs:
-                arrays.append(np.empty(0, dtype=np.int64))
-                continue
-            w = np.array([p[0] for p in pairs], dtype=np.int64)
-            l = np.array([p[1] for p in pairs], dtype=np.int64)
-            if np.any(w == l) or w.min() < 0 or l.min() < 0 or max(w.max(), l.max()) >= n_items:
-                raise ValueError(f"user {u}: pair out of range")
-            ids = np.unique(encode_pair(w, l, n_items))
-            flipped = np.unique(encode_pair(l, w, n_items))
-            clash = np.intersect1d(ids, flipped, assume_unique=True)
-            if clash.size:
-                cw, cl = decode_pair(clash[0], n_items)
-                raise PreferenceConflictError(
-                    f"user {u}: both orientations of items ({cw}, {cl}) asserted"
-                )
-            arrays.append(ids)
-        return cls(len(arrays), n_items, arrays)
-
-    @property
-    def universe(self) -> int:
-        return universe_size(self.n_items)
+    def prefs_of(self, user: int) -> np.ndarray:
+        """One user's pair ids, ascending (a view; do not write to it)."""
+        return self.pair_ids[self.indptr[user]:self.indptr[user + 1]]
 
     def count(self, user: int) -> int:
-        return int(self.pair_ids[user].size)
+        return int(self.indptr[user + 1] - self.indptr[user])
 
     @property
     def total(self) -> int:
-        return int(sum(a.size for a in self.pair_ids))
+        return int(self.pair_ids.size)
 
     def observed_ids(self) -> np.ndarray:
         """Sorted union of all users' pair ids."""
-        return sorted_unique(np.concatenate([np.empty(0, np.int64), *self.pair_ids]))
+        return sorted_unique(self.pair_ids)
 
 
 def derive_preferences(dataset) -> PreferenceStore:
     """Turn per-user ratings into strict pairwise preferences.
 
     For every pair of items a user rated, the higher-rated item wins;
-    equal ratings contribute nothing.
+    equal ratings contribute nothing.  All pairs are generated at once:
+    with rows ordered by user, then by rating descending, each row wins
+    against every later row of its user from the first lower rating on.
     """
-    arrays = []
-    for u in range(dataset.n_users):
-        items, ratings = dataset.user_rows(u)
-        if items.size < 2:
-            arrays.append(np.empty(0, dtype=np.int64))
-            continue
-        hi, lo = np.triu_indices(items.size, k=1)
-        keep = ratings[hi] != ratings[lo]
-        hi, lo = hi[keep], lo[keep]
-        swap = ratings[hi] < ratings[lo]
-        winners = np.where(swap, items[lo], items[hi])
-        losers = np.where(swap, items[hi], items[lo])
-        arrays.append(np.sort(encode_pair(winners, losers, dataset.n_items)))
-    return PreferenceStore(dataset.n_users, dataset.n_items, arrays)
+    order = np.lexsort((-dataset.ratings, dataset.users))
+    users, items, ratings = (a[order] for a in (dataset.users, dataset.items, dataset.ratings))
+    new_run = np.diff(users, prepend=-1) != 0
+    new_run[1:] |= ratings[1:] != ratings[:-1]
+    # this row beats every row of its user from the end of its run of equal ratings
+    run_end = np.flatnonzero(np.append(new_run, True))[np.cumsum(new_run)]
+    wins = np.searchsorted(users, users, side="right") - run_end
+    ends = np.cumsum(wins)
+    loser_rows = np.arange(wins.sum()) - np.repeat(ends - wins - run_end, wins)
+    pair_ids = np.repeat(items * dataset.n_items, wins)
+    pair_ids += items[loser_rows]
+    indptr = np.r_[0, ends][np.searchsorted(users, np.arange(dataset.n_users + 1))]
+    for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist()):
+        pair_ids[a:b].sort()
+    return PreferenceStore(dataset.n_users, dataset.n_items, indptr, pair_ids)

@@ -93,13 +93,13 @@ def dense_user_pref_matrices(store):
     """Build the user/preference incidence and its two column-normalized
     transitions with explicit loops.  Returns (observed_ids, A, L, M):
     L spreads preference mass to users, M spreads user mass to prefs."""
-    observed = sorted({int(p) for ids in store.pair_ids for p in ids})
+    observed = sorted({int(p) for p in store.pair_ids})
     if store.n_users + len(observed) > MAX_DENSE_DIM:
         raise DimensionGuardError("store too large for the dense reference path")
     col_of = {pid: j for j, pid in enumerate(observed)}
     a = np.zeros((store.n_users, len(observed)))
-    for u, ids in enumerate(store.pair_ids):
-        for pid in ids:
+    for u in range(store.n_users):
+        for pid in store.prefs_of(u):
             a[u, col_of[int(pid)]] = 1.0
     support = a.sum(axis=0)
     degree = a.sum(axis=1)
@@ -133,7 +133,7 @@ def dense_pole_matrices(n_items: int):
 def dense_restart_vector(store, target: int, observed_ids, support) -> np.ndarray:
     """Target user's restart distribution: support-discounted weight on
     each of their preferences, renormalized to unit mass."""
-    ids = store.pair_ids[target]
+    ids = store.prefs_of(target)
     if ids.size == 0:
         raise ColdStartError(f"user {target} has no preferences")
     d = np.zeros(len(observed_ids))

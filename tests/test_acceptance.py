@@ -389,7 +389,7 @@ def _check_antisymmetry() -> bool:
     store = derive_preferences(dataset)
     n = dataset.n_items
     for u in range(dataset.n_users):
-        ids = set(int(p) for p in store.pair_ids[u])
+        ids = set(int(p) for p in store.prefs_of(u))
         if any((p % n) * n + (p // n) in ids for p in ids):
             return False
         items, ratings = dataset.user_rows(u)

@@ -233,7 +233,7 @@ def test_user_sharing_no_preference_scores_one_half(seed):
     mine = [(int(a), int(b)) for a, b in zip(picked[:-1], picked[1:])]
     rows = [[tuple(int(v) for v in divmod(int(p), n)) for p in ids
              if tuple(int(v) for v in divmod(int(p), n)) not in mine]
-            for ids in others.pair_ids]
+            for ids in map(others.prefs_of, range(others.n_users))]
     store = PreferenceStore.from_pairs(len(rows) + 1, n, rows + [mine])
     target = len(rows)
     ops = user_pref_operators(UserPrefGraph.from_store(store))

@@ -239,6 +239,22 @@ def test_recommend_ties_break_by_id():
     assert list(recommend_topk(scored, 3)) == [0, 1, 2]
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.5, 0.5, 0.75, 1.0, np.nan]),
+                max_size=40),
+       st.integers(0, 45), st.data())
+def test_topk_matches_stable_argsort(values, k, data):
+    # heavily tied scores, so the k-th position usually falls inside a tie
+    scores = np.array(values, dtype=np.float64)
+    exclude = data.draw(st.lists(st.integers(0, max(0, scores.size - 1)),
+                                 max_size=scores.size))
+    order = np.argsort(-scores, kind="stable")
+    order = order[~np.isin(order, exclude)]
+    got = recommend_topk(ScoredItems(scores, np.ones(scores.size, dtype=bool)), k, exclude)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, order[:k])
+
+
 def test_deterministic():
     n = 5
     w_op, t_op = item_pole_operators(n)

@@ -40,7 +40,7 @@ def test_derive_single_pair():
     ds = loads_ratings("1\t10\t5\n1\t11\t3")
     store = derive_preferences(ds)
     # items get dense ids in appearance order: 10 -> 0, 11 -> 1
-    assert list(store.pair_ids[0]) == [encode_pair(0, 1, 2)]
+    assert list(store.prefs_of(0)) == [encode_pair(0, 1, 2)]
 
 
 def test_derive_tie_emits_nothing():
@@ -53,7 +53,7 @@ def test_derive_three_ordered_ratings():
     store = derive_preferences(ds)
     n = 3
     expected = {encode_pair(0, 1, n), encode_pair(0, 2, n), encode_pair(1, 2, n)}
-    assert set(store.pair_ids[0]) == expected
+    assert set(store.prefs_of(0)) == expected
     assert store.count(0) == 3
 
 
@@ -67,7 +67,7 @@ def test_derive_mixed_ties():
         encode_pair(2, 1, n), encode_pair(2, 3, n),
         encode_pair(1, 3, n),
     ])
-    assert list(store.pair_ids[0]) == expected
+    assert list(store.prefs_of(0)) == expected
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -75,8 +75,8 @@ def test_derive_is_antisymmetric(seed):
     rng = np.random.default_rng(seed)
     store = derive_preferences(random_ratings(rng, n_users=4, n_items=6))
     n = store.n_items
-    for ids in store.pair_ids:
-        held = set(int(p) for p in ids)
+    for u in range(store.n_users):
+        held = set(int(p) for p in store.prefs_of(u))
         for pid in held:
             w, l = decode_pair(pid, n)
             assert int(l) * n + int(w) not in held
@@ -114,6 +114,6 @@ def test_sorted_unique_matches_np_unique(values):
 
 
 def test_observed_ids_of_empty_store():
-    store = PreferenceStore(2, 3, [np.empty(0, np.int64), np.empty(0, np.int64)])
+    store = PreferenceStore(2, 3, np.zeros(3, np.int64), np.empty(0, np.int64))
     assert store.observed_ids().size == 0 and store.observed_ids().dtype == np.int64
-    assert PreferenceStore(0, 3, []).observed_ids().size == 0
+    assert PreferenceStore(0, 3, [0], []).observed_ids().size == 0
