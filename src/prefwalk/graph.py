@@ -250,24 +250,17 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
     observed = sorted_unique(pids)
     cols = np.searchsorted(observed, pids)  # ascending within each user, as pids are
     support = np.bincount(cols, minlength=observed.size).astype(np.float64)
-    counts = np.diff(indptr)
-    degrees = counts.astype(np.float64)
+    degrees = np.diff(indptr).astype(np.float64)
     shape = (g.n_users, observed.size)
     to_user = sparse.csr_matrix((1.0 / support[cols], cols, indptr), shape=shape)
     # M in CSC form has L's pattern: column u holds u's preferences
-    to_pref = sparse.csc_matrix((1.0 / np.repeat(degrees, counts), cols, indptr),
+    to_pref = sparse.csc_matrix((1.0 / np.repeat(degrees, np.diff(indptr)), cols, indptr),
                                 shape=shape[::-1]).tocsr()
     return UserPrefOperators(
-        n_users=g.n_users,
-        n_items=g.n_items,
-        observed_ids=observed,
-        pref_support=support,
-        user_degrees=degrees,
-        pref_to_user=StochasticOperator("pref_to_user", to_user),
+        n_users=g.n_users, n_items=g.n_items, observed_ids=observed, pref_support=support,
+        user_degrees=degrees, pref_to_user=StochasticOperator("pref_to_user", to_user),
         user_to_pref=StochasticOperator("user_to_pref", to_pref),
-        pref_col_indptr=indptr,
-        pref_col_indices=cols,
-    )
+        pref_col_indptr=indptr, pref_col_indices=cols)
 
 
 class PoleToPrefOperator:

@@ -75,9 +75,13 @@ class PreferenceStore:
     def __post_init__(self):
         self.indptr = np.asarray(self.indptr, dtype=np.int64)
         self.pair_ids = np.asarray(self.pair_ids, dtype=np.int64)
-        if (self.indptr.shape != (self.n_users + 1,) or self.indptr[0] != 0
-                or self.indptr[-1] != self.pair_ids.size):
-            raise ValueError("indptr must hold n_users + 1 offsets spanning pair_ids")
+        if (self.indptr.shape != (self.n_users + 1,) or self.indptr[0] != 0 or self.indptr[-1]
+                != self.pair_ids.size or np.any(self.indptr[1:] < self.indptr[:-1])):
+            raise ValueError("indptr must hold n_users + 1 ascending offsets spanning pair_ids")
+        rising = np.append(self.pair_ids[1:] > self.pair_ids[:-1], True)
+        rising[self.indptr[1:-1] - 1] = True  # the step into the next user's run may fall
+        if not rising.all():
+            raise ValueError("each user's pair ids must be ascending and unique")
 
     @classmethod
     def from_edges(cls, n_users: int, n_items: int, users, pair_ids) -> "PreferenceStore":

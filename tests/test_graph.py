@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -158,9 +160,14 @@ def test_user_space_matches_dense(seed):
                       (space.poles_from_users, b_dense @ m_dense),
                       (space.poles_from_restart, b_dense @ l_dense.T)):
         assert np.abs(got.toarray() - want).max() <= 1e-15
-    # row sums reach ~8 here, where one ulp is 1.8e-15: compare relative to them
-    mass = l_dense.sum(axis=1)
-    assert np.abs(space.restart_mass - mass).max() <= 1e-15 * max(1.0, mass.max())
+    # restart_mass adds each row's k terms in an order of scipy's choosing, so it
+    # is within gamma(k - 1) = (k - 1)u / (1 - (k - 1)u) of the exact row sum, as a
+    # fraction of it (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)
+    u = Fraction(np.finfo(np.float64).eps) / 2
+    for got, row in zip(space.restart_mass, l_dense):
+        terms = [Fraction(x) for x in row if x]
+        n, exact = max(len(terms) - 1, 0), sum(terms, Fraction(0))
+        assert abs(Fraction(got) - exact) <= n * u / (1 - n * u) * exact
     assert ops.user_space is space
 
 

@@ -159,6 +159,18 @@ def test_store_rejects_inconsistent_offsets():
         PreferenceStore(2, 3, [0, 1], [1])
     with pytest.raises(ValueError):
         PreferenceStore(1, 3, [0, 2], [1])
+    with pytest.raises(ValueError):
+        PreferenceStore(3, 3, [0, 2, 1, 3], [1, 2, 5])
+
+
+def test_store_rejects_unsorted_or_repeated_ids():
+    # one user's run may start below where the previous one ended
+    for indptr, ids in (([0, 2, 3], [2, 5, 1]), ([0, 0, 2, 2], [1, 5]), ([0, 2, 2, 2], [1, 5])):
+        assert PreferenceStore(len(indptr) - 1, 3, indptr, ids).total == len(ids)
+    for indptr, ids in (([0, 2, 3], [5, 1, 2]), ([0, 2, 3], [1, 1, 2]),
+                        ([0, 0, 2, 2], [5, 1]), ([0, 1, 3], [7, 5, 5])):
+        with pytest.raises(ValueError):
+            PreferenceStore(len(indptr) - 1, 3, indptr, ids)
 
 
 # -- snapshot load --------------------------------------------------------------
