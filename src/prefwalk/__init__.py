@@ -17,15 +17,13 @@ from .errors import (ColdStartError, DataError, DimensionGuardError, EmptyDatase
 from .evaluation import (DiagnosticsReport, EvalReport, RankOutcome, collect_diagnostics,
                          distinct_levels, ndcg_at_k, rank_items_for_user, run_evaluation)
 from .graph import (ConnectivityReport, StochasticOperator, UserPrefGraph,
-                    UserPrefOperators, connectivity_report, item_pole_operators,
-                    user_pref_operators)
-from .item_walk import (ItemWalkConfig, ItemWalkResult, RestartVector, ScoredItems,
-                        build_restart, recommend_topk, run_item_walk, score_items,
-                        solve_item_walk)
+                    UserPrefOperators, connectivity_report, user_pref_operators)
+from .item_walk import ItemWalkConfig, ScoredItems, item_scores, recommend_topk
 from .preferences import (PreferenceStore, decode_pair, dense_index, derive_preferences,
                           encode_pair, universe_size)
-from .user_walk import (UserWalkConfig, UserWalkResult, restart_vector, run_user_walk,
-                        solve_user_walk)
+from .user_walk import UserWalkConfig, UserWalkResult, restart_vector, solve_user_walk
+from .walk_state import (ItemWalkResult, RestartVector, build_restart, item_pole_operators,
+                         run_item_walk, run_user_walk, score_items, solve_item_walk)
 
 __version__ = "0.1.0"
 
@@ -42,7 +40,7 @@ __all__ = [
     "UserWalkConfig", "UserWalkResult", "restart_vector", "run_user_walk",
     "solve_user_walk",
     "ItemWalkConfig", "ItemWalkResult", "RestartVector", "ScoredItems", "build_restart",
-    "run_item_walk", "solve_item_walk", "score_items", "recommend_topk",
+    "run_item_walk", "solve_item_walk", "score_items", "item_scores", "recommend_topk",
     "RankOutcome", "rank_items_for_user", "ndcg_at_k", "run_evaluation", "EvalReport",
     "collect_diagnostics", "DiagnosticsReport", "distinct_levels",
     "__version__",

@@ -20,10 +20,11 @@ from pathlib import Path
 from .datasets import FORMAT_SEPS, SplitSpec, load_ratings, upl_split, write_ratings
 from .errors import ColdStartError, DataError, NumericalError, UsageError
 from .evaluation import collect_diagnostics, rank_items_for_user, run_evaluation
-from .graph import UserPrefGraph, item_pole_operators, user_pref_operators
+from .graph import UserPrefGraph, user_pref_operators
 from .item_walk import ItemWalkConfig
 from .preferences import derive_preferences
 from .user_walk import UserWalkConfig
+from .walk_state import item_pole_operators
 
 DEFAULTS = {
     "format": "tsv_umr",

@@ -3,10 +3,10 @@
 Ranking solves both walks exactly: the first in user space, against a
 sparse LU factor and user-space matrices that the graph's operators
 build once and keep, projected straight onto the item poles; the
-second in closed form on those pole marginals.  Neither depends on
-max_iter, and per user the work is O(n_users + n_items) beside the
-solve: no vector over preferences is built unless diagnostics read the
-concordances or the pair-level walk mass.
+second by one score formula on those pole marginals.  Neither depends
+on max_iter, and per user the work is O(n_users + n_items) beside the
+solve: no vector over preferences or pairs is built unless diagnostics
+read the concordances or `RankOutcome.second`, walk 2's full state.
 
 The protocol: for each requested per-user profile size, repeatedly
 split the dataset (keeping that many train ratings per user, the rest
@@ -24,17 +24,18 @@ import math
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .datasets import RatingsDataset, SplitSpec, upl_split
 from .errors import ColdStartError
-from .graph import (UserPrefGraph, UserPrefOperators, connectivity_report,
-                    item_pole_operators, user_pref_operators)
-from .item_walk import (ItemWalkConfig, ItemWalkResult, RestartVector, ScoredItems,
-                        recommend_topk, score_items, solve_item_walk)
+from .graph import UserPrefGraph, UserPrefOperators, connectivity_report, user_pref_operators
+from .item_walk import ItemWalkConfig, ScoredItems, item_scores, recommend_topk
 from .preferences import derive_preferences, universe_size
 from .user_walk import UserWalkConfig, UserWalkResult, solve_user_walk
+from .walk_state import (ItemWalkResult, build_restart, check_pole_operators,
+                         item_pole_operators, solve_item_walk)
 
 NONZERO_EPS = 1e-15
 LEVEL_DIGITS = 12
@@ -45,20 +46,27 @@ class RankOutcome:
     items: np.ndarray
     scored: ScoredItems
     first: UserWalkResult
-    second: ItemWalkResult
+    _walk2: tuple = field(repr=False, compare=False)  # what `second` is built from
+
+    @cached_property
+    def second(self) -> ItemWalkResult:
+        """Walk 2's full state, built on first read from the concordances."""
+        ops, pole_to_pref, pref_to_pole, walk2 = self._walk2
+        restart = build_restart(self.first.concordances, ops.observed_ids, ops.n_items)
+        return solve_item_walk(pole_to_pref, pref_to_pole, restart, walk2)
 
 
 def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
                         target: int, k: int = 10, exclude=(),
                         walk1: UserWalkConfig | None = None,
                         walk2: ItemWalkConfig | None = None) -> RankOutcome:
-    """Solve both walks exactly for one user and rank their unseen items."""
+    """Solve both walks exactly for one user and rank their unseen items.
+    The pole operators are read only when `second` is."""
+    check_pole_operators(pole_to_pref, pref_to_pole, ops.n_items)
     first = solve_user_walk(ops, target, walk1)
-    q = RestartVector.from_poles(first.concordance_poles, ops.observed_ids,
-                                 lambda: first.concordances)
-    second = solve_item_walk(pole_to_pref, pref_to_pole, q, walk2)
-    scored = score_items(second)
-    return RankOutcome(recommend_topk(scored, k, exclude), scored, first, second)
+    scored = item_scores(first.concordance_poles, walk2)
+    return RankOutcome(recommend_topk(scored, k, exclude), scored, first,
+                       (ops, pole_to_pref, pref_to_pole, walk2))
 
 
 def ndcg_at_k(recommended, test_ratings: dict, k: int) -> float:

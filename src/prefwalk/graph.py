@@ -1,12 +1,9 @@
-"""Bipartite graphs behind the two walks, and their stochastic operators.
+"""The user/preference graph behind the first walk, and its operators.
 
-The first walk runs on a user/preference graph: an edge joins a user to
-every preference observed in their profile.  The second walk runs on a
-preference/pole graph that never needs to be stored: every item
-contributes two pole nodes (a "win" pole and a "loss" pole), and the
-preference (w, l) — over the full universe of ordered pairs — connects
-to w's win pole and l's loss pole.  Both graphs are only ever consumed
-through column-stochastic transition operators.
+An edge joins a user to every preference observed in their profile.
+The graph is only ever consumed through column-stochastic transition
+operators.  (The second walk's preference/pole graph is never stored;
+its operators live in `walk_state`.)
 
 Ranking reads the first walk in user space (see user_walk), through
 matrices the operators build once per graph, on first use: L @ M,
@@ -117,9 +114,7 @@ class UserPrefGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UserPrefGraph):
             return NotImplemented
-        a, b = self._store, other._store
-        return (a.n_users == b.n_users and a.n_items == b.n_items
-                and np.array_equal(a.indptr, b.indptr) and np.array_equal(a.pair_ids, b.pair_ids))
+        return self._store == other._store
 
     # -- snapshot ---------------------------------------------------------
 
@@ -261,61 +256,6 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
         user_degrees=degrees, pref_to_user=StochasticOperator("pref_to_user", to_user),
         user_to_pref=StochasticOperator("user_to_pref", to_pref),
         pref_col_indptr=indptr, pref_col_indices=cols)
-
-
-class PoleToPrefOperator:
-    """Spread pole mass over the full preference universe.
-
-    Preference (w, l) draws 1/(n_items - 1) of w's win-pole mass and
-    1/(n_items - 1) of l's loss-pole mass.  Output is a flat length
-    n_items**2 vector indexed by pair id, zero on the diagonal.
-    """
-
-    direction = "pole_to_pref"
-
-    def __init__(self, n_items: int):
-        if n_items < 2:
-            raise ValueError("need at least 2 items for pairwise poles")
-        self.n_items = n_items
-
-    def apply(self, pole_mass: np.ndarray) -> np.ndarray:
-        n = self.n_items
-        win, loss = pole_mass[:n], pole_mass[n:]
-        h = (win[:, None] + loss[None, :]) / (n - 1)
-        h.flat[:: n + 1] = 0.0
-        return h.ravel()
-
-    def column_sums(self) -> np.ndarray:
-        return np.ones(2 * self.n_items)
-
-
-class PrefToPoleOperator:
-    """Collapse preference mass onto poles: half to the winner's win
-    pole, half to the loser's loss pole."""
-
-    direction = "pref_to_pole"
-
-    def __init__(self, n_items: int):
-        if n_items < 2:
-            raise ValueError("need at least 2 items for pairwise poles")
-        self.n_items = n_items
-
-    def apply(self, pref_mass: np.ndarray) -> np.ndarray:
-        n = self.n_items
-        h = pref_mass.reshape(n, n)
-        return 0.5 * np.concatenate([h.sum(axis=1) - h.diagonal(),
-                                     h.sum(axis=0) - h.diagonal()])
-
-    def column_sums(self) -> np.ndarray:
-        n = self.n_items
-        sums = np.ones(n * n)
-        sums[:: n + 1] = 0.0  # diagonal pair ids are structurally absent
-        return sums
-
-
-def item_pole_operators(n_items: int):
-    """Both transition operators of the preference/pole graph."""
-    return PoleToPrefOperator(n_items), PrefToPoleOperator(n_items)
 
 
 @dataclass

@@ -61,7 +61,7 @@ def universe_size(n_items: int) -> int:
     return n_items * (n_items - 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class PreferenceStore:
     """Observed preferences in CSR form: user u holds pair_ids[indptr[u]:
     indptr[u + 1]], ascending and unique.  The arrays are never written
@@ -104,15 +104,24 @@ class PreferenceStore:
 
     @classmethod
     def from_pairs(cls, n_users: int, n_items: int, pairs_by_user) -> "PreferenceStore":
-        """Build from per-user iterables of (winner, loser) tuples, one
-        user per iterable, as from_edges does."""
+        """Build from n_users iterables of (winner, loser) tuples, one
+        per user, as from_edges does."""
         pairs = [list(p) for p in pairs_by_user]
+        if len(pairs) != n_users:
+            raise ValueError(f"pairs given for {len(pairs)} users, not n_users = {n_users}")
         users = np.repeat(np.arange(len(pairs)), [len(p) for p in pairs])
         w, l = np.array([x for p in pairs for x in p], dtype=np.int64).reshape(-1, 2).T
         bad = (w == l) | (np.minimum(w, l) < 0) | (np.maximum(w, l) >= n_items)
         if bad.any():
             raise ValueError(f"user {users[bad.argmax()]}: pair out of range")
-        return cls.from_edges(len(pairs), n_items, users, encode_pair(w, l, n_items))
+        return cls.from_edges(n_users, n_items, users, encode_pair(w, l, n_items))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PreferenceStore):
+            return NotImplemented
+        return (self.n_users == other.n_users and self.n_items == other.n_items
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.pair_ids, other.pair_ids))
 
     def prefs_of(self, user: int) -> np.ndarray:
         """One user's pair ids, ascending (a view; do not write to it)."""

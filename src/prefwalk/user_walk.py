@@ -34,10 +34,8 @@ joint mass of (s, c), it is
     |(1 - alpha)**2 * L @ M @ s + (1 - alpha) * alpha * G[:, u] / Z_u - s|_1 / m
         + alpha * |1 - 1 / m|
 
-`run_user_walk` iterates the sweep instead, from a uniform joint start,
-until the joint L1 change drops below tol; hitting max_iter first is
-reported, not fatal.  It counts sweeps, which the convergence tests
-measure.  Both return vectors renormalized to unit joint L1 mass.
+The result is renormalized to unit joint L1 mass.  The iterate,
+`run_user_walk`, lives in `walk_state`.
 """
 
 from dataclasses import dataclass
@@ -46,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ColdStartError, NumericalError
-from .graph import StochasticOperator, UserPrefOperators
+from .graph import UserPrefOperators
 
 
 @dataclass
@@ -64,24 +62,22 @@ class UserWalkConfig:
             raise ValueError("max_iter must be >= 1")
 
 
+@dataclass(eq=False)
 class UserWalkResult:
     """A walk state at unit joint L1 mass, with the sweeps that reached
     it, its residual and whether that is below tol.
 
-    `concordances` (per observed preference) may be given as a function
-    of no arguments, called on first access.  `concordance_poles`, set
-    by `solve_user_walk` only, is the concordance mass per item pole:
-    win poles, then loss poles."""
+    `_concordances` (per observed preference) may be a function of no
+    arguments, called when `concordances` is first read.
+    `concordance_poles`, set by `solve_user_walk` only, is the
+    concordance mass per item pole: win poles, then loss poles."""
 
-    def __init__(self, similarities: np.ndarray, concordances, iterations: int,
-                 residual: float, converged: bool,
-                 concordance_poles: np.ndarray | None = None):
-        self.similarities = similarities  # per user
-        self._concordances = concordances
-        self.iterations = iterations
-        self.residual = residual
-        self.converged = converged
-        self.concordance_poles = concordance_poles
+    similarities: np.ndarray  # per user
+    _concordances: object
+    iterations: int
+    residual: float
+    converged: bool
+    concordance_poles: np.ndarray | None = None
 
     @cached_property
     def concordances(self) -> np.ndarray:
@@ -108,18 +104,9 @@ def restart_vector(ops: UserPrefOperators, target: int) -> np.ndarray:
     return d / d.sum()
 
 
-def _sweep(pref_to_user: StochasticOperator, user_to_pref: StochasticOperator,
-           keep: float, jump: np.ndarray, sim: np.ndarray, con: np.ndarray):
-    """One lock-step sweep and the joint L1 change it makes."""
-    sim_next = keep * pref_to_user.apply(con)
-    con_next = keep * user_to_pref.apply(sim) + jump
-    residual = float(np.abs(sim_next - sim).sum() + np.abs(con_next - con).sum())
-    return sim_next, con_next, residual
-
-
-def _check_finite(*vectors: np.ndarray) -> None:
+def _check_finite(walk: str, *vectors: np.ndarray) -> None:
     if not all(np.all(np.isfinite(v)) for v in vectors):
-        raise NumericalError("user walk produced non-finite values")
+        raise NumericalError(f"{walk} produced non-finite values")
 
 
 def _column(matrix, u: int):
@@ -147,7 +134,7 @@ def solve_user_walk(ops: UserPrefOperators, target: int,
     poles = keep * (space.poles_from_users @ sim)
     rows, vals = _column(space.poles_from_restart, target)
     poles[rows] += alpha * vals / z
-    _check_finite(sim, poles)
+    _check_finite("user walk", sim, poles)
     # every preference has one winner, so the win poles hold the concordance mass
     mass = sim.sum() + poles[:ops.n_items].sum()
     moved = keep * keep * (space.coupling @ sim) + rhs - sim
@@ -159,27 +146,3 @@ def solve_user_walk(ops: UserPrefOperators, target: int,
 
     return UserWalkResult(sim / mass, concordances, 0, residual, residual < cfg.tol,
                           poles / mass)
-
-
-def run_user_walk(pref_to_user: StochasticOperator, user_to_pref: StochasticOperator,
-                  restart: np.ndarray, config: UserWalkConfig | None = None) -> UserWalkResult:
-    """Iterate the coupled walk from a uniform joint start (half the
-    mass on each side)."""
-    cfg = config or UserWalkConfig()
-    n_users, n_prefs = pref_to_user.matrix.shape
-    if restart.shape != (n_prefs,):
-        raise ValueError("restart vector does not match the preference side")
-    keep = 1.0 - cfg.alpha
-    jump = cfg.alpha * restart
-    sim = np.full(n_users, 0.5 / n_users)
-    con = np.full(n_prefs, 0.5 / n_prefs)
-    iterations, residual, converged = 0, np.inf, False
-    for _ in range(cfg.max_iter):
-        sim, con, residual = _sweep(pref_to_user, user_to_pref, keep, jump, sim, con)
-        iterations += 1
-        if residual < cfg.tol:
-            converged = True
-            break
-    _check_finite(sim, con)
-    mass = sim.sum() + con.sum()
-    return UserWalkResult(sim / mass, con / mass, iterations, residual, converged)

@@ -12,9 +12,10 @@ from prefwalk import (ColdStartError, ItemWalkConfig, PreferenceStore, SplitSpec
                       derive_preferences, distinct_levels, item_pole_operators,
                       loads_ratings, ndcg_at_k, rank_items_for_user, run_evaluation,
                       upl_split, user_pref_operators)
-from prefwalk.item_walk import (RestartVector, build_restart, recommend_topk, score_items,
-                                solve_item_walk)
+from prefwalk import evaluation
+from prefwalk.item_walk import item_scores, recommend_topk
 from prefwalk.user_walk import restart_vector, solve_user_walk
+from prefwalk.walk_state import build_restart, score_items, solve_item_walk
 
 
 def test_ndcg_reorder_example():
@@ -87,14 +88,63 @@ def test_rank_items_matches_manual_pipeline():
     target = first_warm_user(store)
     outcome = rank_items_for_user(ops, w_op, t_op, target, k=4, exclude={0})
     first = solve_user_walk(ops, target)
-    q = RestartVector.from_poles(first.concordance_poles, ops.observed_ids,
-                                 lambda: first.concordances)
-    second = solve_item_walk(w_op, t_op, q)
-    scored = score_items(second)
+    scored = item_scores(first.concordance_poles)
     assert np.array_equal(outcome.items, recommend_topk(scored, 4, exclude={0}))
     assert 0 not in set(int(i) for i in outcome.items)
     assert np.array_equal(outcome.scored.scores, scored.scores)
+    assert np.array_equal(outcome.scored.defined, scored.defined)
     assert outcome.first.iterations == 0 and outcome.second.iterations == 0
+
+
+def test_rank_builds_second_only_on_first_read(monkeypatch):
+    store = random_store(np.random.default_rng(13), n_users=5, n_items=6)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    calls = []
+
+    def counted(fn):
+        return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
+
+    for fn in (build_restart, solve_item_walk):
+        monkeypatch.setattr(evaluation, fn.__name__, counted(fn))
+    w_op, t_op = item_pole_operators(store.n_items)
+    w_op.apply = t_op.apply = lambda _: pytest.fail("pole operator applied")
+    target = first_warm_user(store)
+    outcome = rank_items_for_user(ops, w_op, t_op, target, k=3)
+    assert calls == [] and "second" not in vars(outcome)
+    second = outcome.second
+    assert calls == ["build_restart", "solve_item_walk"]
+    assert outcome.second is second and len(calls) == 2
+    q = build_restart(solve_user_walk(ops, target).concordances, ops.observed_ids,
+                      store.n_items)
+    assert np.array_equal(second.pole_mass, solve_item_walk(w_op, t_op, q).pole_mass)
+
+
+def test_rank_rejects_mismatched_pole_operators():
+    store = random_store(np.random.default_rng(14), n_users=4, n_items=5)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    target = first_warm_user(store)
+    (w5, t5), (w6, t6) = item_pole_operators(5), item_pole_operators(6)
+    for pole_ops in ((w6, t6), (w5, t6), (w6, t5)):
+        with pytest.raises(ValueError):
+            rank_items_for_user(ops, *pole_ops, target)
+
+
+def test_near_one_beta_unreached_items_score_one_half():
+    # on many items the unreached items' pole mass falls below 1e-15 at
+    # beta = 0.9999 (about 2.5e-16 each here), yet it is not zero
+    n = 2000
+    store = PreferenceStore.from_pairs(2, n, [[(0, 1)], [(2, 3)]])
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    out = rank_items_for_user(ops, *item_pole_operators(n), 0, k=n,
+                              walk2=ItemWalkConfig(beta=0.9999))
+    full = score_items(out.second)
+    pm = out.second.pole_mass
+    assert (pm[:n] + pm[n:])[2:].max() < 1e-15
+    for scored in (out.scored, full):
+        assert scored.defined.all()
+        assert np.all(scored.scores[2:] == 0.5)
+    assert np.abs(out.scored.scores - full.scores).max() <= 1e-15
+    assert list(out.items[:1]) == [0] and list(out.items[-1:]) == [1]
 
 
 def _warm_instance(seed):

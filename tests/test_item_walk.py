@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prefwalk import (ItemWalkConfig, ItemWalkResult, RestartVector, ScoredItems,
-                      build_restart, encode_pair, item_pole_operators, recommend_topk,
-                      run_item_walk, score_items, solve_item_walk)
-from prefwalk.item_walk import SCORE_FLOOR
+                      build_restart, encode_pair, item_pole_operators, item_scores,
+                      recommend_topk, run_item_walk, score_items, solve_item_walk)
 from prefwalk.reference import dense_fixed_point, dense_pole_matrices, stacked_system
 from prefwalk.preferences import dense_index
 
@@ -48,27 +47,6 @@ def test_build_restart_proportional():
 def test_build_restart_rejects_zero_mass():
     with pytest.raises(ValueError):
         build_restart(np.zeros(3), np.array([1, 2, 3]), 3)
-
-
-def test_from_poles_builds_pair_arrays_once_on_first_read():
-    rng = np.random.default_rng(4)
-    n = 5
-    offdiag = np.flatnonzero(~np.eye(n, dtype=bool).ravel())
-    ids = np.sort(rng.choice(offdiag, size=8, replace=False))
-    c = rng.random(ids.size)
-    full = build_restart(c, ids, n)
-    poles = np.concatenate([np.bincount(full.winners, c, minlength=n),
-                            np.bincount(full.losers, c, minlength=n)])
-    calls = []
-    lazy = RestartVector.from_poles(poles, ids, lambda: calls.append(1) or c)
-    assert np.abs(lazy.win_sums - full.win_sums).max() <= 1e-15
-    assert np.abs(lazy.loss_sums - full.loss_sums).max() <= 1e-15
-    assert not calls
-    for attr in ("pair_ids", "weights", "winners", "losers"):
-        assert np.array_equal(getattr(lazy, attr), getattr(full, attr))
-    assert calls == [1]
-    with pytest.raises(ValueError):
-        RestartVector.from_poles(np.zeros(2 * n), ids, lambda: c)
 
 
 def test_restart_vector_validation():
@@ -218,10 +196,12 @@ def test_score_arithmetic():
 
 
 def test_score_floor():
-    tiny = SCORE_FLOOR / 4
-    scored = score_items(fake_result(np.array([tiny, 0.0]), np.array([tiny, 1.0])))
-    assert scored.scores[0] == 0.0 and not scored.defined[0]
-    assert scored.scores[1] == 0.0 and scored.defined[1]
+    # only poles holding exactly no mass leave an item undefined; any
+    # positive mass, however small, gives the item its win share
+    scored = score_items(fake_result(np.array([2.5e-16, 5e-324, 0.0, 0.0]),
+                                     np.array([2.5e-16, 5e-324, 1e-300, 0.0])))
+    assert list(scored.scores) == [0.5, 0.5, 0.0, 0.0]
+    assert list(scored.defined) == [True, True, True, False]
 
 
 def test_recommend_topk():
@@ -307,3 +287,55 @@ def test_closed_form_beta_one_returns_restart(seed):
     assert np.abs(res.pref_mass - expected).max() <= 1e-15
     scored = score_items(res)
     assert np.all(scored.scores == 0.0) and not scored.defined.any()
+
+
+def restart_poles(q):
+    """A restart's mass per item pole, as the first walk reports it."""
+    return np.concatenate([np.bincount(q.winners, q.weights, minlength=q.n_items),
+                           np.bincount(q.losers, q.weights, minlength=q.n_items)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 1.0, exclude_max=True))
+def test_item_scores_match_walk_state(seed, beta):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    q = random_restart(rng, n)
+    cfg = ItemWalkConfig(beta=beta)
+    got = item_scores(restart_poles(q), cfg)
+    full = score_items(solve_item_walk(*item_pole_operators(n), q, cfg))
+    assert got.defined.all() and full.defined.all()
+    assert np.abs(got.scores - full.scores).max() <= 1e-15
+    assert np.all((got.scores >= 0.0) & (got.scores <= 1.0))
+    k = int(rng.integers(0, n + 1))
+    assert np.array_equal(recommend_topk(got, k), recommend_topk(full, k))
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_item_scores_beta_one(seed):
+    # the formula's limit at beta = 1 is qw / (qw + ql), but the walk
+    # then leaves every pole empty: all scores 0, none defined
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    q = random_restart(rng, n)
+    cfg = ItemWalkConfig(beta=1.0)
+    got = item_scores(restart_poles(q), cfg)
+    full = score_items(solve_item_walk(*item_pole_operators(n), q, cfg))
+    for scored in (got, full):
+        assert np.all(scored.scores == 0.0) and not scored.defined.any()
+
+
+def test_item_scores_two_items():
+    # item 1 only ever loses: its win pole holds exactly no mass, and the
+    # formula's rounding must not push its score below 0 (or item 0's above 1)
+    q = make_restart(2, [(0, 1)])
+    for beta in np.linspace(0.05, 0.9999, 2000):
+        got = item_scores(restart_poles(q), ItemWalkConfig(beta=beta))
+        assert np.all((got.scores >= 0.0) & (got.scores <= 1.0)) and got.defined.all()
+        assert np.abs(got.scores - [1.0, 0.0]).max() <= 1e-15
+
+
+def test_item_scores_reject_empty_poles():
+    with pytest.raises(ValueError):
+        item_scores(np.zeros(6))

@@ -99,6 +99,24 @@ def test_from_pairs_rejects_out_of_range():
         PreferenceStore.from_pairs(1, 3, [[(1, 1)]])
 
 
+def test_from_pairs_needs_one_iterable_per_user():
+    for n_users in (0, 2, 5):
+        with pytest.raises(ValueError):
+            PreferenceStore.from_pairs(n_users, 3, [[(0, 1)]])
+    store = PreferenceStore.from_pairs(3, 3, [[(0, 1)], [], []])
+    assert store.n_users == 3 and store.count(2) == 0
+
+
+def test_store_equality_compares_arrays():
+    rows = [[(0, 1), (2, 1)], [(1, 0), (2, 0), (2, 1)]]
+    a = PreferenceStore.from_pairs(2, 3, rows)
+    assert a == PreferenceStore.from_pairs(2, 3, [list(reversed(r)) for r in rows])
+    assert a != PreferenceStore.from_pairs(2, 3, [rows[0], [(1, 0), (0, 2), (2, 1)]])
+    assert a != PreferenceStore.from_pairs(2, 4, rows)
+    assert a != PreferenceStore.from_pairs(3, 3, rows + [[]])
+    assert a != object()
+
+
 def test_observed_ids_union():
     store = PreferenceStore.from_pairs(2, 3, [[(0, 1)], [(0, 1), (2, 0)]])
     assert list(store.observed_ids()) == [encode_pair(0, 1, 3), encode_pair(2, 0, 3)]
