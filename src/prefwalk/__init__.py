@@ -14,14 +14,17 @@ from .datasets import (RatingsDataset, SplitSpec, load_ratings, loads_ratings,
 from .errors import (ColdStartError, DataError, DimensionGuardError, EmptyDatasetError,
                      EmptyGraphError, EmptySplitError, NumericalError, ParseError,
                      PrefwalkError, PreferenceConflictError, UsageError)
-from .evaluation import (DiagnosticsReport, EvalReport, RankOutcome, collect_diagnostics,
-                         distinct_levels, ndcg_at_k, rank_items_for_user, run_evaluation)
+from .evaluation import (DiagnosticsReport, EvalReport, RankedBlock, RankOutcome,
+                         collect_diagnostics, distinct_levels, ndcg_at_k, ndcg_rows,
+                         rank_block, rank_items_for_user, run_evaluation)
 from .graph import (ConnectivityReport, StochasticOperator, UserPrefGraph,
                     UserPrefOperators, connectivity_report, user_pref_operators)
-from .item_walk import ItemWalkConfig, ScoredItems, item_scores, recommend_topk
+from .item_walk import (ItemWalkConfig, ScoredItems, exclusion_mask, item_scores,
+                        recommend_topk, topk_rows)
 from .preferences import (PreferenceStore, decode_pair, dense_index, derive_preferences,
                           encode_pair, universe_size)
-from .user_walk import UserWalkConfig, UserWalkResult, restart_vector, solve_user_walk
+from .user_walk import (UserWalkBlock, UserWalkConfig, UserWalkResult, restart_vector,
+                        solve_user_walk, solve_user_walks)
 from .walk_state import (ItemWalkResult, RestartVector, build_restart, item_pole_operators,
                          run_item_walk, run_user_walk, score_items, solve_item_walk)
 
@@ -37,11 +40,13 @@ __all__ = [
     "derive_preferences",
     "UserPrefGraph", "StochasticOperator", "UserPrefOperators", "ConnectivityReport",
     "user_pref_operators", "item_pole_operators", "connectivity_report",
-    "UserWalkConfig", "UserWalkResult", "restart_vector", "run_user_walk",
-    "solve_user_walk",
+    "UserWalkConfig", "UserWalkResult", "UserWalkBlock", "restart_vector", "run_user_walk",
+    "solve_user_walk", "solve_user_walks",
     "ItemWalkConfig", "ItemWalkResult", "RestartVector", "ScoredItems", "build_restart",
     "run_item_walk", "solve_item_walk", "score_items", "item_scores", "recommend_topk",
-    "RankOutcome", "rank_items_for_user", "ndcg_at_k", "run_evaluation", "EvalReport",
+    "topk_rows", "exclusion_mask",
+    "RankOutcome", "RankedBlock", "rank_items_for_user", "rank_block", "ndcg_at_k",
+    "ndcg_rows", "run_evaluation", "EvalReport",
     "collect_diagnostics", "DiagnosticsReport", "distinct_levels",
     "__version__",
 ]

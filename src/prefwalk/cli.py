@@ -13,18 +13,16 @@ impossible requests), 2 data errors (unreadable or empty inputs),
 """
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .datasets import FORMAT_SEPS, SplitSpec, load_ratings, upl_split, write_ratings
 from .errors import ColdStartError, DataError, NumericalError, UsageError
-from .evaluation import collect_diagnostics, rank_items_for_user, run_evaluation
+from .evaluation import EVAL_BLOCK, collect_diagnostics, rank_block, run_evaluation
 from .graph import UserPrefGraph, user_pref_operators
-from .item_walk import ItemWalkConfig
+from .item_walk import ItemWalkConfig, exclusion_mask
 from .preferences import derive_preferences
 from .user_walk import UserWalkConfig
-from .walk_state import item_pole_operators
 
 DEFAULTS = {
     "format": "tsv_umr",
@@ -36,7 +34,6 @@ DEFAULTS = {
     "repetitions": 5,
     "top_k": 10,
     "cutoffs": [1, 3, 5, 10],
-    "jobs": os.cpu_count() or 1,
     "sample": None,
     "upl": None,
     "rep": 0,
@@ -60,7 +57,6 @@ _KEY_PARSERS = {
     "repetitions": int,
     "top_k": int,
     "cutoffs": _int_list,
-    "jobs": int,
     "sample": int,
     "upl": _int_list,
     "rep": int,
@@ -156,26 +152,39 @@ def cmd_recommend(args, config) -> int:
     walk1, walk2 = _walk_configs(args, config)
     top_k = _resolve(args, config, "top_k")
     ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(dataset)))
-    w_op, t_op = item_pole_operators(dataset.n_items)
-    succeeded = 0
+    # a user missing from the file stops the request there, after the
+    # users before it are printed
+    targets, missing = [], None
     for raw_user in args.user:
         matches = (dataset.raw_user_ids == raw_user).nonzero()[0]
         if matches.size == 0:
-            raise UsageError(f"user {raw_user} does not appear in {args.ratings}")
-        target = int(matches[0])
-        rated, _ = dataset.user_rows(target)
-        try:
-            outcome = rank_items_for_user(ops, w_op, t_op, target, k=top_k,
-                                          exclude=rated, walk1=walk1, walk2=walk2)
-        except ColdStartError:
-            print(f"warning: user {raw_user} has no strict preferences, skipped",
-                  file=sys.stderr)
-            continue
-        succeeded += 1
-        for rank, item in enumerate(outcome.items, start=1):
-            raw_item = dataset.raw_item_ids[int(item)]
-            print(f"{raw_user}\t{rank}\t{raw_item}\t{outcome.scored.scores[int(item)]:.6f}")
-    if succeeded == 0:
+            missing = raw_user
+            break
+        targets.append(int(matches[0]))
+    # ranked EVAL_BLOCK requested users at a time, each slice printed
+    # before the next is ranked, so memory stays flat in the list's length
+    ranked = 0
+    for lo in range(0, len(targets), EVAL_BLOCK):
+        users = list(zip(args.user[lo:lo + EVAL_BLOCK], targets[lo:lo + EVAL_BLOCK]))
+        warm = [t for _, t in users if ops.user_degrees[t] > 0]
+        if warm:
+            rated = [dataset.user_rows(t)[0] for t in warm]
+            block = rank_block(ops, warm, top_k, exclusion_mask(dataset.n_items, rated),
+                               walk1, walk2)
+        col = 0  # the next warm user's column in the block
+        for raw_user, target in users:
+            if ops.user_degrees[target] == 0:
+                print(f"warning: user {raw_user} has no strict preferences, skipped",
+                      file=sys.stderr)
+                continue
+            for rank, item in enumerate(block.items[col, :block.counts[col]], start=1):
+                raw_item = dataset.raw_item_ids[item]
+                print(f"{raw_user}\t{rank}\t{raw_item}\t{block.scored.scores[item, col]:.6f}")
+            col += 1
+        ranked += len(warm)
+    if missing is not None:
+        raise UsageError(f"user {missing} does not appear in {args.ratings}")
+    if ranked == 0:
         raise ColdStartError("no requested user has any strict preference")
     return 0
 
@@ -191,7 +200,6 @@ def cmd_evaluate(args, config) -> int:
         seed=_resolve(args, config, "seed"),
         min_test=_resolve(args, config, "min_test"),
         walk1=walk1, walk2=walk2,
-        jobs=_resolve(args, config, "jobs"),
         user_sample=_resolve(args, config, "sample"),
         progress=_progress(args),
     )
@@ -276,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs", type=_int_list)
     p.add_argument("--repetitions", type=int)
     p.add_argument("--min-test", dest="min_test", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
     p.add_argument("--sample", type=int, help="evaluate only this many users per rep")
     p.add_argument("--out", help="directory for the machine-readable report")
     p.set_defaults(func=cmd_evaluate)

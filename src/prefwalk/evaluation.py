@@ -7,12 +7,17 @@ second by one score formula on those pole marginals.  Neither depends
 on max_iter, and per user the work is O(n_users + n_items) beside the
 solve: no vector over preferences or pairs is built unless diagnostics
 read the concordances or `RankOutcome.second`, walk 2's full state.
+It runs on blocks of users (`rank_block`): one solve with a column per
+user, the score formula along those columns, and a row-wise top-k.
+`rank_items_for_user` is the block of one, and gives each user the
+same items and scores as any block holding them.
 
 The protocol: for each requested per-user profile size, repeatedly
 split the dataset (keeping that many train ratings per user, the rest
 as test), rank each kept user's unseen items, and average NDCG at the
 requested cutoffs over users; repetitions differ only in the split
-seed.  Reported std is the population std over repetition means.
+seed.  Kept users are ranked and scored EVAL_BLOCK at a time.
+Reported std is the population std over repetition means.
 
 Diagnostics probe how far each walk's mass actually spreads: the
 fraction of users / preference pairs reached, and how many distinct
@@ -21,19 +26,18 @@ they agree to 12 significant digits).
 """
 
 import math
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .datasets import RatingsDataset, SplitSpec, upl_split
-from .errors import ColdStartError
 from .graph import UserPrefGraph, UserPrefOperators, connectivity_report, user_pref_operators
-from .item_walk import ItemWalkConfig, ScoredItems, item_scores, recommend_topk
+from .item_walk import ItemWalkConfig, ScoredItems, exclusion_mask, item_scores, topk_rows
 from .preferences import derive_preferences, universe_size
-from .user_walk import UserWalkConfig, UserWalkResult, solve_user_walk
+from .user_walk import UserWalkBlock, UserWalkConfig, UserWalkResult, solve_user_walks
 from .walk_state import (ItemWalkResult, build_restart, check_pole_operators,
                          item_pole_operators, solve_item_walk)
 
@@ -56,16 +60,40 @@ class RankOutcome:
         return solve_item_walk(pole_to_pref, pref_to_pole, restart, walk2)
 
 
+@dataclass(eq=False)
+class RankedBlock:
+    """Both walks and the top-k for a block of users, one column (of the
+    walk and score arrays) or row (of `items`) per user."""
+
+    first: UserWalkBlock
+    scored: ScoredItems  # n_items x m
+    items: np.ndarray    # m x min(k, n_items); row r's ranking is its first counts[r]
+    counts: np.ndarray
+
+
+def rank_block(ops: UserPrefOperators, targets, k: int, excluded: np.ndarray,
+               walk1: UserWalkConfig | None = None,
+               walk2: ItemWalkConfig | None = None) -> RankedBlock:
+    """Solve both walks exactly for a block of warm users and rank their
+    items, leaving out those marked in the (m x n_items) excluded mask."""
+    first = solve_user_walks(ops, targets, walk1)
+    scored = item_scores(first.concordance_poles, walk2)
+    items, counts = topk_rows(scored.scores.T, k, excluded)
+    return RankedBlock(first, scored, items, counts)
+
+
 def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
                         target: int, k: int = 10, exclude=(),
                         walk1: UserWalkConfig | None = None,
                         walk2: ItemWalkConfig | None = None) -> RankOutcome:
-    """Solve both walks exactly for one user and rank their unseen items.
-    The pole operators are read only when `second` is."""
+    """Solve both walks exactly for one user and rank their unseen items:
+    `rank_block` for a block of one.  The pole operators are read only
+    when `second` is."""
     check_pole_operators(pole_to_pref, pref_to_pole, ops.n_items)
-    first = solve_user_walk(ops, target, walk1)
-    scored = item_scores(first.concordance_poles, walk2)
-    return RankOutcome(recommend_topk(scored, k, exclude), scored, first,
+    block = rank_block(ops, [target], k, exclusion_mask(ops.n_items, [exclude]),
+                       walk1, walk2)
+    scored = ScoredItems(block.scored.scores[:, 0], block.scored.defined[:, 0])
+    return RankOutcome(block.items[0, :block.counts[0]], scored, block.first.result(0),
                        (ops, pole_to_pref, pref_to_pole, walk2))
 
 
@@ -88,24 +116,42 @@ def ndcg_at_k(recommended, test_ratings: dict, k: int) -> float:
     return dcg / idcg if idcg > 0 else 0.0
 
 
+def _prefix_dcg(rel: np.ndarray) -> np.ndarray:
+    """Per row, the DCG of every prefix of its gains: column j sums the first j."""
+    gain = (2.0 ** rel - 1.0) / np.log2(np.arange(2, rel.shape[1] + 2))
+    return np.hstack([np.zeros((rel.shape[0], 1)), np.cumsum(gain, axis=1)])
+
+
+def ndcg_rows(items: np.ndarray, counts: np.ndarray, test: sparse.csr_matrix,
+              cutoffs) -> np.ndarray:
+    """`ndcg_at_k` for a block of users at once, one row per user and one
+    column per cutoff.  Row r of `items` holds user r's ranking in its
+    first counts[r] entries; row r of `test` holds their test ratings."""
+    m, width = items.shape
+    cutoffs = np.asarray(cutoffs, dtype=np.int64)
+    rel = np.take_along_axis(test.toarray(), items, axis=1)
+    rel[np.arange(width) >= counts[:, None]] = 0.0
+    # each row's test ratings, highest first, then no gain past its last
+    rows = np.repeat(np.arange(m), np.diff(test.indptr))
+    pos = np.arange(rows.size) - test.indptr[rows]
+    depth = int(cutoffs.max(initial=0))
+    ideal = np.full((m, max(depth, pos.max(initial=-1) + 1)), np.inf)
+    ideal[rows, pos] = -test.data
+    ideal.sort(axis=1)
+    ideal = -ideal[:, :depth]
+    ideal[np.isinf(ideal)] = 0.0
+    dcg = _prefix_dcg(rel)[:, np.minimum(cutoffs, width)]
+    idcg = _prefix_dcg(ideal)[:, cutoffs]
+    return np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg > 0)
+
+
 # -- evaluation protocol ----------------------------------------------------
 
-_WORKER: dict = {}
-
-
-def _init_worker(payload):
-    _WORKER["payload"] = payload
-
-
-def _eval_one(task):
-    user, exclude, gains = task
-    ops, w_op, t_op, walk1, walk2, cutoffs = _WORKER["payload"]
-    try:
-        outcome = rank_items_for_user(ops, w_op, t_op, user, k=max(cutoffs),
-                                      exclude=exclude, walk1=walk1, walk2=walk2)
-    except ColdStartError:
-        return user, None
-    return user, [ndcg_at_k(outcome.items, gains, k) for k in cutoffs]
+# Users ranked together in `run_evaluation`.  Larger blocks share more
+# per-call overhead but hold more n_items x block arrays at once.  On an
+# ML-100K-shaped upl=10 split the process peaks at 75 MB ranking one user
+# at a time, 81 MB with blocks of 32, 85 MB with 64 and 167 MB with all 943.
+EVAL_BLOCK = 32
 
 
 @dataclass
@@ -156,14 +202,8 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _rep_tasks(train: RatingsDataset, test: RatingsDataset, users) -> list:
-    tasks = []
-    for u in users:
-        train_items, _ = train.user_rows(int(u))
-        test_items, test_ratings = test.user_rows(int(u))
-        gains = {int(i): float(r) for i, r in zip(test_items, test_ratings)}
-        tasks.append((int(u), train_items, gains))
-    return tasks
+def _user_item_matrix(ds: RatingsDataset, values) -> sparse.csr_matrix:
+    return sparse.csr_matrix((values, (ds.users, ds.items)), shape=(ds.n_users, ds.n_items))
 
 
 def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
@@ -176,8 +216,9 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
 
     user_sample, when set, evaluates only that many kept users per
     repetition (sampled reproducibly) — a cheap preview of the full run.
-    jobs > 1 fans user evaluations out over a process pool; results are
-    independent of jobs.
+    Each repetition ranks its warm kept users EVAL_BLOCK at a time
+    (`rank_block`) and scores the block's NDCG at once (`ndcg_rows`).
+    jobs is accepted and ignored: evaluation runs in this process.
     """
     upls = list(upls)
     cutoffs = list(cutoffs)
@@ -208,27 +249,22 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
                     rep_means[k].append(0.0)
                 continue
             ops = user_pref_operators(UserPrefGraph.from_store(store))
-            # factor and user-space matrices before the fork, so workers share them
-            ops.user_walk_factor(walk1.alpha)
-            w_op, t_op = item_pole_operators(dataset.n_items)
-            tasks = _rep_tasks(train, test, kept)
-            payload = (ops, w_op, t_op, walk1, walk2, cutoffs)
-            if jobs > 1:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(jobs, initializer=_init_worker, initargs=(payload,)) as pool:
-                    rows = pool.map(_eval_one, tasks,
-                                    chunksize=max(1, len(tasks) // (jobs * 8)))
-            else:
-                _init_worker(payload)
-                rows = [_eval_one(t) for t in tasks]
-            scored = [vals for _, vals in rows if vals is not None]
-            report.evaluated_users[(upl, rep)] = len(scored)
-            report.cold_skipped[(upl, rep)] = len(rows) - len(scored)
-            per_user = np.array(scored)  # (users, cutoffs)
+            warm = kept[ops.user_degrees[kept] > 0]
+            seen = _user_item_matrix(train, np.ones(train.n_ratings))
+            gains = _user_item_matrix(test, test.ratings)
+            per_user = np.empty((warm.size, len(cutoffs)))
+            for lo in range(0, warm.size, EVAL_BLOCK):
+                users = warm[lo:lo + EVAL_BLOCK]
+                block = rank_block(ops, users, max(cutoffs), seen[users].toarray() > 0,
+                                   walk1, walk2)
+                per_user[lo:lo + users.size] = ndcg_rows(block.items, block.counts,
+                                                         gains[users], cutoffs)
+            report.evaluated_users[(upl, rep)] = int(warm.size)
+            report.cold_skipped[(upl, rep)] = int(kept.size - warm.size)
             for j, k in enumerate(cutoffs):
-                rep_means[k].append(float(per_user[:, j].mean()) if len(scored) else 0.0)
+                rep_means[k].append(float(per_user[:, j].mean()) if warm.size else 0.0)
             if progress:
-                progress(f"upl={upl} rep={rep}: {len(scored)} users, "
+                progress(f"upl={upl} rep={rep}: {warm.size} users, "
                          + " ".join(f"ndcg@{k}={rep_means[k][-1]:.4f}" for k in cutoffs))
         for k in cutoffs:
             vals = rep_means[k]

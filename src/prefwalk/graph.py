@@ -190,12 +190,14 @@ class UserPrefOperators:
         """Sparse LU factor of I - (1 - alpha)**2 * L @ M, with L =
         pref_to_user and M = user_to_pref: the first walk's fixed point
         in user space.  Built on first use for each alpha, then kept;
-        the first call also builds `user_space`."""
+        the first call also builds `user_space`.  L @ M's pattern is
+        symmetric (entry (u, v) is nonzero exactly when u and v share a
+        preference), so columns are ordered by minimum degree on it."""
         lu = self._factors.get(alpha)
         if lu is None:
             keep = 1.0 - alpha
             system = sparse.identity(self.n_users) - keep * keep * self.user_space.coupling
-            lu = self._factors[alpha] = splu(system.tocsc())
+            lu = self._factors[alpha] = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return lu
 
     @cached_property

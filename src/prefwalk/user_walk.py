@@ -18,8 +18,11 @@ users,
     c = (1 - alpha) * M @ s + alpha * d
 
 with G = L @ L.T.  L @ M is substochastic, so the system is nonsingular
-for alpha > 0.  `solve_user_walk` solves it against a sparse LU factor
-built once per operators and alpha.  The second walk reads c only
+for alpha > 0.  `solve_user_walks` solves it for a block of targets at
+once, one right-hand side per target, against a sparse LU factor built
+once per operators and alpha, its columns ordered by minimum degree on
+L @ M's symmetric pattern (`UserPrefOperators.user_walk_factor`);
+`solve_user_walk` is the block of one.  The second walk reads c only
 through its mass per item pole, B @ c for the pole incidence B, which
 the precomputed B @ M and B @ L.T give from s directly:
 
@@ -34,7 +37,7 @@ joint mass of (s, c), it is
     |(1 - alpha)**2 * L @ M @ s + (1 - alpha) * alpha * G[:, u] / Z_u - s|_1 / m
         + alpha * |1 - 1 / m|
 
-The result is renormalized to unit joint L1 mass.  The iterate,
+Each column is renormalized to unit joint L1 mass.  The iterate,
 `run_user_walk`, lives in `walk_state`.
 """
 
@@ -85,20 +88,20 @@ class UserWalkResult:
         return c() if callable(c) else c
 
 
-def _check_target(ops: UserPrefOperators, target: int) -> np.ndarray:
-    """The target's preference columns; it must exist and hold some."""
-    if not 0 <= target < ops.n_users:
-        raise ValueError(f"user {target} out of range")
-    cols = ops.pref_columns(target)
-    if cols.size == 0:
-        raise ColdStartError(f"user {target} has no preferences")
-    return cols
+def _check_targets(ops: UserPrefOperators, targets: np.ndarray) -> None:
+    """Every target must exist and hold some preference."""
+    for target in targets.tolist():
+        if not 0 <= target < ops.n_users:
+            raise ValueError(f"user {target} out of range")
+        if ops.user_degrees[target] == 0:
+            raise ColdStartError(f"user {target} has no preferences")
 
 
 def restart_vector(ops: UserPrefOperators, target: int) -> np.ndarray:
     """Restart distribution over observed preferences: the target's own
     preferences, discounted by how many users share each one."""
-    cols = _check_target(ops, target)
+    _check_targets(ops, np.array([target]))
+    cols = ops.pref_columns(target)
     d = np.zeros(ops.observed_ids.size)
     d[cols] = 1.0 / ops.pref_support[cols]
     return d / d.sum()
@@ -109,40 +112,78 @@ def _check_finite(walk: str, *vectors: np.ndarray) -> None:
         raise NumericalError(f"{walk} produced non-finite values")
 
 
-def _column(matrix, u: int):
-    """(row indices, values) of column u of a CSC matrix, or of row u of
-    a CSR one."""
-    lo, hi = matrix.indptr[u], matrix.indptr[u + 1]
-    return matrix.indices[lo:hi], matrix.data[lo:hi]
+def _columns(matrix, majors: np.ndarray):
+    """Every stored entry of columns `majors` of a CSC matrix, or of
+    those rows of a CSR one, as (row or column index, position in
+    majors, value), in the order of majors.  Slices, not sparse fancy
+    indexing, so one column costs one slice."""
+    spans = [slice(matrix.indptr[j], matrix.indptr[j + 1]) for j in majors.tolist()]
+    empty = slice(0, 0)  # so that no majors gives empty arrays
+    return (np.concatenate([matrix.indices[s] for s in [empty, *spans]]),
+            np.repeat(np.arange(len(spans)), [s.stop - s.start for s in spans]),
+            np.concatenate([matrix.data[s] for s in [empty, *spans]]))
+
+
+@dataclass(eq=False)
+class UserWalkBlock:
+    """Walk 1 for a block of targets, one column per target, each column
+    at unit joint L1 mass.  The arrays are column-major, so a column's
+    sums run in the same order whatever the block's width."""
+
+    ops: UserPrefOperators
+    config: UserWalkConfig
+    targets: np.ndarray
+    similarities: np.ndarray       # n_users x m
+    concordance_poles: np.ndarray  # 2 * n_items x m: win poles, then loss poles
+    mass: np.ndarray               # each column's joint L1 mass before scaling
+    residuals: np.ndarray          # each column's one-sweep change
+
+    def result(self, j: int) -> UserWalkResult:
+        """Column j as a walk result; its concordances are built on first read."""
+        ops, alpha, target = self.ops, self.config.alpha, int(self.targets[j])
+        sim, mass, residual = self.similarities[:, j], self.mass[j], float(self.residuals[j])
+
+        def concordances():
+            return ((1.0 - alpha) * ops.user_to_pref.apply(sim)
+                    + alpha * restart_vector(ops, target) / mass)
+
+        return UserWalkResult(sim, concordances, 0, residual, residual < self.config.tol,
+                              self.concordance_poles[:, j])
+
+
+def solve_user_walks(ops: UserPrefOperators, targets,
+                     config: UserWalkConfig | None = None) -> UserWalkBlock:
+    """The walk's fixed point for a block of target users, from one
+    solve with a right-hand side per target against the operators'
+    memoized factor for this alpha, in user space (see the module
+    docstring)."""
+    cfg = config or UserWalkConfig()
+    targets = np.asarray(targets, dtype=np.int64)
+    _check_targets(ops, targets)
+    alpha, keep = cfg.alpha, 1.0 - cfg.alpha
+    factor = ops.user_walk_factor(alpha)
+    space = ops.user_space
+    z = space.restart_mass[targets]
+    rhs = np.zeros((ops.n_users, targets.size), order="F")
+    rows, cols, vals = _columns(space.gram, targets)
+    rhs[rows, cols] = keep * alpha * vals / z[cols]
+    sim = factor.solve(rhs)
+    poles = np.multiply(keep, space.poles_from_users @ sim, order="F")
+    rows, cols, vals = _columns(space.poles_from_restart, targets)
+    poles[rows, cols] += alpha * vals / z[cols]
+    _check_finite("user walk", sim, poles)
+    # every preference has one winner, so the win poles hold the concordance mass
+    mass = sim.sum(axis=0) + poles[:ops.n_items].sum(axis=0)
+    moved = np.multiply(keep * keep, space.coupling @ sim, order="F")
+    moved += rhs
+    moved -= sim
+    residuals = np.abs(moved).sum(axis=0) / mass + alpha * np.abs(1.0 - 1.0 / mass)
+    sim /= mass
+    poles /= mass
+    return UserWalkBlock(ops, cfg, targets, sim, poles, mass, residuals)
 
 
 def solve_user_walk(ops: UserPrefOperators, target: int,
                     config: UserWalkConfig | None = None) -> UserWalkResult:
-    """The walk's fixed point for one target user, from one solve against
-    the operators' memoized factor for this alpha, in user space (see
-    the module docstring)."""
-    cfg = config or UserWalkConfig()
-    _check_target(ops, target)
-    alpha, keep = cfg.alpha, 1.0 - cfg.alpha
-    factor = ops.user_walk_factor(alpha)
-    space = ops.user_space
-    z = space.restart_mass[target]
-    rhs = np.zeros(ops.n_users)
-    rows, vals = _column(space.gram, target)
-    rhs[rows] = keep * alpha * vals / z
-    sim = factor.solve(rhs)
-    poles = keep * (space.poles_from_users @ sim)
-    rows, vals = _column(space.poles_from_restart, target)
-    poles[rows] += alpha * vals / z
-    _check_finite("user walk", sim, poles)
-    # every preference has one winner, so the win poles hold the concordance mass
-    mass = sim.sum() + poles[:ops.n_items].sum()
-    moved = keep * keep * (space.coupling @ sim) + rhs - sim
-    residual = float(np.abs(moved).sum() / mass + alpha * abs(1.0 - 1.0 / mass))
-
-    def concordances():
-        con = keep * ops.user_to_pref.apply(sim) + alpha * restart_vector(ops, target)
-        return con / mass
-
-    return UserWalkResult(sim / mass, concordances, 0, residual, residual < cfg.tol,
-                          poles / mass)
+    """The walk's fixed point for one target user: a block of one."""
+    return solve_user_walks(ops, [target], config).result(0)

@@ -9,6 +9,7 @@ from helpers import random_ratings
 from prefwalk import load_ratings, write_ratings
 from prefwalk.cli import load_config, main
 from prefwalk.errors import NumericalError
+from prefwalk.evaluation import EVAL_BLOCK, rank_block
 from prefwalk.reference import dense_reference_ranking
 from prefwalk import derive_preferences
 
@@ -109,6 +110,68 @@ def test_recommend_cold_user_warns(tmp_path, capsys):
     assert code == 1
 
 
+def test_recommend_batch_with_cold_user_between_warm(tmp_path, capsys):
+    # user 2 ties every rating, so it has no strict preference
+    path = tmp_path / "mixed.tsv"
+    path.write_text("1\t10\t5\n1\t11\t2\n2\t10\t3\n2\t11\t3\n2\t12\t3\n"
+                    "3\t10\t1\n3\t12\t4\n3\t13\t2\n", encoding="utf-8")
+    single = [run_cli(capsys, "recommend", path, "--user", u, "--top-k", "3")
+              for u in ("1", "3")]
+    assert all(code == 0 and out and not err for code, out, err in single)
+    code, out, err = run_cli(capsys, "recommend", path, "--user", "1,2,3", "--top-k", "3")
+    assert code == 0
+    assert out == single[0][1] + single[1][1]
+    assert err == "warning: user 2 has no strict preferences, skipped\n"
+
+
+def _many_users_file(tmp_path):
+    rng = np.random.default_rng(11)
+    ds = random_ratings(rng, n_users=EVAL_BLOCK + 8, n_items=10, min_per_user=4,
+                        max_per_user=7, raw_offset=1)
+    path = tmp_path / "many.tsv"
+    write_ratings(ds, path)
+    return path, [str(u) for u in ds.raw_user_ids]
+
+
+def test_recommend_ranks_long_user_lists_in_slices(tmp_path, capsys, monkeypatch):
+    import prefwalk.cli as cli_mod
+
+    path, raw = _many_users_file(tmp_path)
+    single = [run_cli(capsys, "recommend", path, "--user", u, "--top-k", "3") for u in raw]
+    sizes = []
+
+    def spy(ops, targets, *args):
+        sizes.append(len(targets))
+        return rank_block(ops, targets, *args)
+
+    monkeypatch.setattr(cli_mod, "rank_block", spy)
+    code, out, _ = run_cli(capsys, "recommend", path, "--user", ",".join(raw), "--top-k", "3")
+    assert code == 0
+    assert out == "".join(o for _, o, _ in single)
+    assert len(sizes) == 2 and max(sizes) <= EVAL_BLOCK
+
+
+def test_recommend_prints_slices_before_a_failure(tmp_path, capsys, monkeypatch):
+    import prefwalk.cli as cli_mod
+
+    path, raw = _many_users_file(tmp_path)
+    first = run_cli(capsys, "recommend", path, "--user", ",".join(raw[:EVAL_BLOCK]),
+                    "--top-k", "3")
+    assert first[0] == 0
+    calls = []
+
+    def fail_second(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericalError("synthetic failure")
+        return rank_block(*args)
+
+    monkeypatch.setattr(cli_mod, "rank_block", fail_second)
+    code, out, err = run_cli(capsys, "recommend", path, "--user", ",".join(raw), "--top-k", "3")
+    assert code == 3 and "synthetic failure" in err
+    assert out == first[1]
+
+
 def test_recommend_unknown_user(ratings_file, capsys):
     code, _, err = run_cli(capsys, "recommend", ratings_file, "--user", "99")
     assert code == 1
@@ -119,7 +182,7 @@ def test_evaluate_writes_report(ratings_file, tmp_path, capsys):
     out = tmp_path / "report"
     code, stdout, _ = run_cli(capsys, "evaluate", ratings_file, "--upl", "3",
                               "--min-test", "2", "--repetitions", "1",
-                              "--cutoffs", "1,2", "--jobs", "1", "--out", out)
+                              "--cutoffs", "1,2", "--out", out)
     assert code == 0
     assert "upl" in stdout and "cutoff" in stdout
     report = (out / "ndcg_report.tsv").read_text(encoding="utf-8")
@@ -178,9 +241,9 @@ def test_config_rejects_unknown_keys(ratings_file, tmp_path, capsys):
 
 def test_config_parses_types(tmp_path):
     cfg = tmp_path / "ok.cfg"
-    cfg.write_text("upl=10,20\ntol=1e-8\njobs=3\nformat=csv_umr\n", encoding="utf-8")
+    cfg.write_text("upl=10,20\ntol=1e-8\nrepetitions=3\nformat=csv_umr\n", encoding="utf-8")
     values = load_config(cfg)
-    assert values == {"upl": [10, 20], "tol": 1e-8, "jobs": 3, "format": "csv_umr"}
+    assert values == {"upl": [10, 20], "tol": 1e-8, "repetitions": 3, "format": "csv_umr"}
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):
@@ -215,6 +278,18 @@ def test_max_iter_removed(ratings_file, tmp_path, capsys):
     assert code == 1 and "unknown key" in err
 
 
+def test_jobs_removed(ratings_file, tmp_path, capsys):
+    # evaluation runs in one process, so a pool size has nothing to set
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", str(ratings_file), "--upl", "3", "--jobs", "2"])
+    assert exc.value.code == 1
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("jobs=2\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "evaluate", ratings_file, "--upl", "3",
+                           "--config", cfg)
+    assert code == 1 and "unknown key" in err
+
+
 def test_invalid_alpha_is_usage_error(ratings_file, capsys):
     code, _, err = run_cli(capsys, "recommend", ratings_file, "--user", "1",
                            "--alpha", "2.0")
@@ -241,7 +316,7 @@ def test_numerical_error_exit_code(ratings_file, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise NumericalError("synthetic failure")
 
-    monkeypatch.setattr(cli_mod, "rank_items_for_user", boom)
+    monkeypatch.setattr(cli_mod, "rank_block", boom)
     code, _, err = run_cli(capsys, "recommend", ratings_file, "--user", "1")
     assert code == 3 and "synthetic failure" in err
 

@@ -4,14 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from helpers import first_warm_user, random_ratings, random_store
 
 from prefwalk import (ColdStartError, ItemWalkConfig, PreferenceStore, SplitSpec,
                       UserPrefGraph, UserWalkConfig, collect_diagnostics, decode_pair,
                       derive_preferences, distinct_levels, item_pole_operators,
-                      loads_ratings, ndcg_at_k, rank_items_for_user, run_evaluation,
-                      upl_split, user_pref_operators)
+                      loads_ratings, ndcg_at_k, ndcg_rows, rank_block, rank_items_for_user,
+                      run_evaluation, upl_split, user_pref_operators)
 from prefwalk import evaluation
 from prefwalk.item_walk import item_scores, recommend_topk
 from prefwalk.user_walk import restart_vector, solve_user_walk
@@ -79,6 +80,25 @@ def test_ndcg_adjacent_swap_toward_ideal(seed):
         swapped = order.copy()
         swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
         assert ndcg_at_k(swapped, gains, k) >= ndcg_at_k(order, gains, k) - 1e-15
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_ndcg_rows_matches_ndcg_at_k(seed):
+    # some users have no test item, some fewer than the deepest cutoff,
+    # some rankings are shorter than a cutoff
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 12)), int(rng.integers(1, 15))
+    cutoffs = sorted(set(rng.integers(1, n + 4, size=3).tolist()))
+    width = min(max(cutoffs), n)
+    items = np.array([rng.permutation(n)[:width] for _ in range(m)]).reshape(m, width)
+    counts = rng.integers(0, width + 1, size=m)
+    ratings = rng.integers(1, 6, size=(m, n)) * (rng.random((m, n)) < rng.random((m, 1)))
+    got = ndcg_rows(items, counts, sparse.csr_matrix(ratings.astype(float)), cutoffs)
+    for r in range(m):
+        gains = {int(i): float(v) for i, v in enumerate(ratings[r]) if v}
+        want = [ndcg_at_k(items[r, :counts[r]], gains, k) for k in cutoffs]
+        assert np.abs(got[r] - want).max() <= 1e-12
 
 
 def test_rank_items_matches_manual_pipeline():
@@ -219,7 +239,9 @@ def test_scores_match_p_space_pipeline(seed):
     assert np.abs(out.first.similarities - sim).max() <= 1e-14
     assert np.abs(out.first.concordances - con).max() <= 1e-14
     assert np.abs(out.scored.scores - scored.scores).max() <= 1e-14
-    assert np.array_equal(out.items, recommend_topk(scored, n))
+    # the two paths may differ by an ulp, so ties within 1e-14 may break either way
+    assert np.array_equal(np.sort(out.items), np.arange(n))
+    assert np.all(np.diff(scored.scores[out.items]) <= 1e-14)
     assert np.abs(out.second.pref_mass - second.pref_mass).max() <= 1e-14
 
 
@@ -235,6 +257,38 @@ def test_rank_alpha_one_and_beta_one(seed):
     assert out.first.converged
     out = rank_items_for_user(ops, *poles, target, walk2=ItemWalkConfig(beta=1.0))
     assert np.all(out.scored.scores == 0.0) and not out.scored.defined.any()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_rank_block_matches_one_user_calls(seed):
+    # a block of every warm user, cold users between them, at times more
+    # users than run_evaluation puts in one block; k from 0 past n_items,
+    # some users allowed fewer items than k, and beta = 1 at times
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 8))
+    store = random_store(rng, n_users=int(rng.integers(1, 2 * evaluation.EVAL_BLOCK + 8)),
+                         n_items=n, fill=float(rng.uniform(0.1, 0.6)))
+    warm = [u for u in range(store.n_users) if store.count(u) > 0]
+    if not warm:
+        return
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    walk1 = UserWalkConfig(alpha=float(rng.uniform(0.05, 1.0)))
+    walk2 = ItemWalkConfig(beta=1.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0)))
+    k = int(rng.integers(0, n + 3))
+    excluded = rng.random((len(warm), n)) < rng.uniform(0.0, 0.8)
+    block = rank_block(ops, warm, k, excluded, walk1, walk2)
+    poles = item_pole_operators(n)
+    for j, u in enumerate(warm):
+        one = rank_items_for_user(ops, *poles, u, k, np.flatnonzero(excluded[j]), walk1, walk2)
+        assert np.array_equal(block.items[j, :block.counts[j]], one.items)
+        assert np.abs(block.scored.scores[:, j] - one.scored.scores).max() <= 1e-15
+        assert np.array_equal(block.scored.defined[:, j], one.scored.defined)
+    cold = [u for u in range(store.n_users) if store.count(u) == 0]
+    if cold:
+        with pytest.raises(ColdStartError):
+            rank_block(ops, warm[:1] + cold[:1], k, np.zeros((2, n), dtype=bool),
+                       walk1, walk2)
 
 
 def test_ranking_builds_no_preference_sized_vector():
@@ -324,6 +378,61 @@ def test_run_evaluation_jobs_invariant():
     parallel = run_evaluation(ds, jobs=2, **kwargs)
     for key in serial.cells:
         assert serial.cells[key].per_rep == parallel.cells[key].per_rep
+
+
+def test_run_evaluation_matches_per_user_loop():
+    # more kept users than one block, and some of them cold
+    ds = _protocol_dataset(n_users=2 * evaluation.EVAL_BLOCK + 5, per_user=10, seed=8)
+    cutoffs, upl = [1, 3, 10], 2
+    report = run_evaluation(ds, upls=[upl], cutoffs=cutoffs, repetitions=2, seed=4,
+                            min_test=5)
+    for rep in range(2):
+        train, test, kept = upl_split(ds, SplitSpec(upl, min_test=5, seed=4, repetitions=2),
+                                      rep)
+        ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(train)))
+        poles = item_pole_operators(ds.n_items)
+        rows = []
+        for u in kept:
+            try:
+                out = rank_items_for_user(ops, *poles, int(u), k=max(cutoffs),
+                                          exclude=train.user_rows(int(u))[0])
+            except ColdStartError:
+                continue
+            items, ratings = test.user_rows(int(u))
+            gains = {int(i): float(r) for i, r in zip(items, ratings)}
+            rows.append([ndcg_at_k(out.items, gains, k) for k in cutoffs])
+        assert 0 < len(rows) < kept.size
+        assert report.evaluated_users[(upl, rep)] == len(rows)
+        assert report.cold_skipped[(upl, rep)] == kept.size - len(rows)
+        for k, want in zip(cutoffs, np.mean(rows, axis=0)):
+            assert abs(report.cells[(upl, k)].per_rep[rep] - want) <= 1e-12
+
+
+def test_run_evaluation_peak_does_not_grow_with_kept_users():
+    # one user rates every item, so n_items stays put as users are added;
+    # holding any n_items x n_kept array would add at least
+    # n_items * 8 bytes per added user to the peak
+    n_items = 3000
+
+    def dataset(n_users):
+        rng = np.random.default_rng(0)
+        lines = [f"0\t{i}\t{i % 5 + 1}" for i in range(n_items)]
+        lines += [f"{u}\t{i}\t{rng.integers(1, 6)}" for u in range(1, n_users)
+                  for i in rng.choice(n_items, size=12, replace=False)]
+        return loads_ratings("\n".join(lines))
+
+    def peak_bytes(ds):
+        tracemalloc.start()
+        try:
+            run_evaluation(ds, upls=[5], cutoffs=[1, 10], repetitions=1, min_test=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    users = 128  # four blocks
+    small, large = dataset(users), dataset(2 * users)
+    assert small.n_items == large.n_items == n_items
+    assert peak_bytes(large) - peak_bytes(small) < n_items * 8 * users / 4
 
 
 def test_run_evaluation_single_repetition_std_zero():
