@@ -8,7 +8,7 @@ The config file is flat `key=value` lines ('#' starts a comment), with
 keys named like the long flags (underscores for dashes).
 
 Exit codes: 0 success, 1 usage errors (bad flags, bad config keys,
-impossible requests), 2 data errors (unreadable or empty inputs),
+out-of-range values, impossible requests), 2 data errors (unreadable or empty inputs),
 3 numerical failures.
 """
 
@@ -42,9 +42,12 @@ DEFAULTS = {
 
 def _int_list(text: str) -> list:
     try:
-        return [int(part) for part in str(text).split(",") if part != ""]
+        values = [int(part) for part in str(text).split(",") if part != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+    return values
 
 
 _KEY_PARSERS = {
@@ -83,11 +86,30 @@ def load_config(path) -> dict:
     return values
 
 
+# the least value each integer option accepts, each entry of a list alike
+_MINIMUMS = {
+    "seed": 0,
+    "min_test": 0,
+    "repetitions": 1,
+    "top_k": 0,
+    "cutoffs": 1,
+    "sample": 0,
+    "upl": 1,
+    "rep": 0,
+}
+
+
 def _resolve(args, config: dict, key: str):
-    """Flag if given, else config-file entry, else default."""
+    """Flag if given, else config-file entry, else default; an integer
+    below its minimum is a usage error, wherever it came from."""
     val = getattr(args, key, None)
     if val is None:
         val = config.get(key, DEFAULTS[key])
+    if key in _MINIMUMS and val is not None:
+        for v in val if isinstance(val, list) else [val]:
+            if v < _MINIMUMS[key]:
+                raise UsageError(f"{key.replace('_', '-')} must be at least "
+                                 f"{_MINIMUMS[key]}, got {v}")
     return val
 
 
@@ -131,10 +153,7 @@ def cmd_split(args, config) -> int:
     min_test = _resolve(args, config, "min_test")
     seed = _resolve(args, config, "seed")
     for upl in _require_upls(args, config):
-        try:
-            spec = SplitSpec(upl, min_test=min_test, seed=seed, repetitions=repetitions)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        spec = SplitSpec(upl, min_test=min_test, seed=seed, repetitions=repetitions)
         for rep in range(repetitions):
             train, test, kept = upl_split(dataset, spec, rep)
             train_path = out / f"train_upl{upl}_rep{rep}.{ext}"
@@ -215,10 +234,11 @@ def cmd_evaluate(args, config) -> int:
 def cmd_diagnose(args, config) -> int:
     dataset, _ = _load(args, config)
     upls = _resolve(args, config, "upl")
+    rep = _resolve(args, config, "rep")
     if upls:
         spec = SplitSpec(upls[0], min_test=_resolve(args, config, "min_test"),
                          seed=_resolve(args, config, "seed"))
-        dataset, _, _ = upl_split(dataset, spec, _resolve(args, config, "rep"))
+        dataset, _, _ = upl_split(dataset, spec, rep)
     walk1, walk2 = _walk_configs(args, config)
     report = collect_diagnostics(
         UserPrefGraph.from_store(derive_preferences(dataset)),

@@ -222,6 +222,12 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
     """
     upls = list(upls)
     cutoffs = list(cutoffs)
+    if not cutoffs or min(cutoffs) < 1:
+        raise ValueError(f"cutoffs must be at least 1, got {cutoffs}")
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be at least 1, got {repetitions}")
+    if user_sample is not None and user_sample < 0:
+        raise ValueError(f"user_sample must be at least 0, got {user_sample}")
     walk1 = walk1 or UserWalkConfig()
     walk2 = walk2 or ItemWalkConfig()
     report = EvalReport(upls, cutoffs, repetitions, config={
@@ -276,20 +282,53 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
 
 # -- diagnostics ------------------------------------------------------------
 
-def distinct_levels(values, sig_digits: int = LEVEL_DIGITS) -> int:
-    """Distinct positive values after rounding to sig_digits significant
-    digits.  Zero and negative entries are ignored."""
-    v = np.asarray(values, dtype=np.float64)
-    v = v[v > 0]
-    if v.size == 0:
-        return 0
+def _level_keys(v: np.ndarray, sig_digits: int) -> np.ndarray:
+    """Per positive value, an int key naming its sig_digits-digit rounding."""
     exp = np.floor(np.log10(v)).astype(np.int64)
     mant = np.round(v / np.power(10.0, exp - (sig_digits - 1))).astype(np.int64)
     roll = mant >= 10 ** sig_digits  # e.g. 9.9999..e-3 rounding up to 1e-2
     mant[roll] //= 10
     exp[roll] += 1
-    keys = np.sort(mant * 1000 + (exp + 500))
-    return int(np.count_nonzero(np.diff(keys))) + 1
+    return mant * 1000 + (exp + 500)
+
+
+def _sorted_levels(v: np.ndarray, sig_digits: int = LEVEL_DIGITS) -> int:
+    """`distinct_levels` of an array of positive values that it may sort in place."""
+    if v.size == 0:
+        return 0
+    v.sort()
+    # relative step to the next value: inf where it overflows, NaN
+    # between two infinities (which do not rise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = np.diff(v)
+        step /= v[:-1]
+    rises = step > 0
+    # two values sharing a key lie within half a unit of its last digit,
+    # so within a relative 10**(1 - sig_digits) of each other; the factor
+    # 2 leaves room for rounding in the step and in the keys
+    close = np.flatnonzero(rises & (step <= 2.0 * 10.0 ** (1 - sig_digits)))
+    merged = np.count_nonzero(_level_keys(v[close], sig_digits)
+                              == _level_keys(v[close + 1], sig_digits))
+    return int(np.count_nonzero(rises) + 1 - merged)
+
+
+def distinct_levels(values, sig_digits: int = LEVEL_DIGITS) -> int:
+    """Distinct positive values after rounding to sig_digits significant
+    digits.  Zero, negative and NaN entries are ignored; `values` is not
+    modified.
+
+    One sorted pass: the positive values are sorted and every rise
+    between neighbours starts a new level, except where the two round
+    to the same sig_digits-digit key.  Only neighbours within a relative
+    step of about 10**(1 - sig_digits) can, so only those get a key.
+    Rounding is monotone in the value, so values sharing a key are
+    contiguous once sorted, and the count equals that of rounding each
+    value on its own (`_level_keys`) and counting the distinct keys.
+    That holds for normal floats; for subnormal ones the per-value
+    formula's power of ten underflows and its keys stop meaning much.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    return _sorted_levels(v[v > 0], sig_digits)
 
 
 @dataclass
@@ -364,6 +403,8 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
                         walk2: ItemWalkConfig | None = None,
                         progress=None) -> DiagnosticsReport:
     """Walk-coverage diagnostics for a sample of users with preferences."""
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be at least 0, got {sample}")
     conn = connectivity_report(graph)
     ops = user_pref_operators(graph)
     w_op, t_op = item_pole_operators(graph.n_items)
@@ -391,14 +432,15 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
         conc_vals = conc[conc > NONZERO_EPS]
         pref = outcome.second.pref_mass
         pref_vals = pref[pref > NONZERO_EPS]
+        # each filtered copy is this loop's own, so it is sorted in place
         report.users.append(UserDiagnostics(
             user=int(u),
             similarity_fraction=float((sim_vals > NONZERO_EPS).mean()) if others.size else 0.0,
             similarity_levels=distinct_levels(sim_vals),
             concordance_fraction=conc_vals.size / uni,
-            concordance_levels=distinct_levels(conc_vals),
+            concordance_levels=_sorted_levels(conc_vals),
             pref_mass_fraction=pref_vals.size / uni,
-            pref_mass_levels=distinct_levels(pref_vals),
+            pref_mass_levels=_sorted_levels(pref_vals),
             first_iterations=outcome.first.iterations,
             first_converged=outcome.first.converged,
             second_iterations=outcome.second.iterations,

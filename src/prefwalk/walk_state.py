@@ -174,7 +174,8 @@ class ItemWalkResult:
         """Dense walk mass per ordered pair, flat over n_items**2 pair
         ids (diagonal entries zero).  O(n_items**2) memory."""
         n = self.n_items
-        h = np.add.outer(self._outer_a, self._outer_b) + self._bias
+        h = np.add.outer(self._outer_a, self._outer_b)
+        h += self._bias
         h.flat[:: n + 1] = 0.0
         h = h.ravel()
         if self._restart_rate != 0.0:

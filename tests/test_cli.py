@@ -296,6 +296,35 @@ def test_invalid_alpha_is_usage_error(ratings_file, capsys):
     assert code == 1 and "alpha" in err
 
 
+@pytest.mark.parametrize("command, flags, key, value", [
+    ("evaluate", ["--upl", "3"], "cutoffs", "0,2"),
+    ("evaluate", ["--upl", "3"], "cutoffs", "-1,2"),
+    ("evaluate", ["--upl", "3"], "repetitions", "0"),
+    ("evaluate", ["--upl", "3"], "sample", "-3"),
+    ("evaluate", ["--upl", "3"], "seed", "-1"),
+    ("diagnose", [], "sample", "-1"),
+    ("diagnose", ["--upl", "3"], "rep", "-1"),
+    ("diagnose", [], "upl", "0"),
+    ("diagnose", ["--upl", "3"], "min-test", "-1"),
+    ("recommend", ["--user", "1"], "top-k", "-1"),
+])
+def test_out_of_range_option_is_usage_error(ratings_file, tmp_path, capsys,
+                                            command, flags, key, value):
+    code, out, err = run_cli(capsys, command, ratings_file, *flags, f"--{key}={value}")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {key} must be at least") and err.count("\n") == 1
+    # the same value from the config file fails the same way
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key.replace('-', '_')}={value}\n", encoding="utf-8")
+    assert run_cli(capsys, command, ratings_file, *flags, "--config", cfg) == (1, "", err)
+
+
+def test_empty_int_list_is_usage_error(ratings_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", str(ratings_file), "--upl", "3", "--cutoffs=,"])
+    assert exc.value.code == 1
+
+
 def test_bad_flags_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["recommend", "--no-such-flag"])

@@ -489,6 +489,19 @@ def test_run_evaluation_user_sample():
     assert report.evaluated_users[(4, 0)] + report.cold_skipped[(4, 0)] == 3
 
 
+@pytest.mark.parametrize("kwargs, word", [
+    (dict(cutoffs=[0, 2]), "cutoffs"),
+    (dict(cutoffs=[-1, 2]), "cutoffs"),
+    (dict(cutoffs=[]), "cutoffs"),
+    (dict(repetitions=0), "repetitions"),
+    (dict(user_sample=-3), "user_sample"),
+])
+def test_run_evaluation_rejects_invalid_counts(kwargs, word):
+    args = dict(upls=[4], cutoffs=[1], repetitions=1, min_test=5) | kwargs
+    with pytest.raises(ValueError, match=word):
+        run_evaluation(_protocol_dataset(), **args)
+
+
 def test_distinct_levels_rounding():
     assert distinct_levels([]) == 0
     assert distinct_levels([0.0, 0.0]) == 0
@@ -508,6 +521,111 @@ def test_distinct_levels_matches_string_oracle():
     expected = len({np.format_float_scientific(v, precision=11, unique=False)
                     for v in values})
     assert distinct_levels(values) == expected
+
+
+def _oracle_levels(values, sig_digits=12) -> int:
+    """Per-value count: round each positive value to sig_digits
+    significant digits as an int key (mantissa and exponent, rolled over
+    where the mantissa rounds up to a power of ten), then count the
+    distinct keys."""
+    v = np.asarray(values, dtype=np.float64)
+    v = v[v > 0]
+    if v.size == 0:
+        return 0
+    exp = np.floor(np.log10(v)).astype(np.int64)
+    mant = np.round(v / np.power(10.0, exp - (sig_digits - 1))).astype(np.int64)
+    roll = mant >= 10 ** sig_digits
+    mant[roll] //= 10
+    exp[roll] += 1
+    return int(np.unique(mant * 1000 + (exp + 500)).size)
+
+
+def _ulp_shift(v, ulps):
+    """Each value moved by its own number of representable steps."""
+    v = v.copy()
+    for _ in range(int(np.abs(ulps).max(initial=0))):
+        move = ulps != 0
+        v[move] = np.nextafter(v[move], np.where(ulps[move] > 0, np.inf, 0.0))
+        ulps = ulps - np.sign(ulps)
+    return v
+
+
+def _level_chunk(kind, rng, n):
+    exps = rng.integers(-300, 300, size=n)
+    ulps = rng.integers(-3, 4, size=n)
+    if kind == "decades":
+        return _ulp_shift(10.0 ** exps.astype(np.float64), ulps)
+    if kind == "half_points":  # m.5 units of the 12th digit
+        mant = rng.integers(10 ** 11, 10 ** 12, size=n) + 0.5
+        return _ulp_shift(mant * 10.0 ** (exps - 11).astype(np.float64), ulps)
+    if kind == "key_ends":  # both ends of one rounding, up to 1e-11 apart
+        mant = rng.integers(10 ** 11, 2 * 10 ** 11, size=n)[:, None] + np.array([-0.49, 0.49])
+        return (mant * 10.0 ** (exps - 11).astype(np.float64)[:, None]).ravel()
+    if kind == "near":  # exact duplicates and neighbours 1e-13 apart
+        base = rng.random(n) * 10.0 ** exps.astype(np.float64)
+        return np.concatenate([base, base, base * (1 + 1e-13), base + base * 2e-13])
+    if kind == "wide":
+        return 10.0 ** rng.uniform(-300, 300, size=n)
+    # zeros, negatives and NaN, all ignored
+    return rng.choice([0.0, -1.0, np.nan, -1e-300], size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.integers(0, 2000), seed=st.integers(0, 2 ** 32 - 1),
+       kinds=st.lists(st.sampled_from(["decades", "half_points", "key_ends", "near",
+                                        "wide", "junk"]),
+                      min_size=1, max_size=5),
+       extra=st.lists(st.floats(1e-300, 1e300), max_size=10))
+def test_distinct_levels_matches_per_value_rounding(size, seed, kinds, extra):
+    rng = np.random.default_rng(seed)
+    chunks = [_level_chunk(kind, rng, size // len(kinds)) for kind in kinds]
+    values = rng.permutation(np.concatenate(chunks + [np.asarray(extra, dtype=np.float64)]))
+    before = values.copy()
+    assert distinct_levels(values) == _oracle_levels(values)
+    assert np.array_equal(values, before, equal_nan=True)
+
+
+def test_diagnostics_levels_match_per_value_rounding():
+    ds = _protocol_dataset(n_users=12, per_user=20, n_items=40, seed=3)
+    train, _, _ = upl_split(ds, SplitSpec(10, min_test=5, seed=1, repetitions=1), 0)
+    graph = UserPrefGraph.from_store(derive_preferences(train))
+    report = collect_diagnostics(graph)
+    ops = user_pref_operators(graph)
+    poles = item_pole_operators(graph.n_items)
+    active = np.flatnonzero(ops.user_degrees > 0)
+    assert len(report.users) == active.size > 1
+    for diag in report.users:
+        outcome = rank_items_for_user(ops, *poles, diag.user, k=0)
+        conc, pref = outcome.first.concordances, outcome.second.pref_mass
+        sims = outcome.first.similarities[active[active != diag.user]]
+        assert diag.similarity_levels == _oracle_levels(sims)
+        assert diag.concordance_levels == _oracle_levels(conc[conc > evaluation.NONZERO_EPS])
+        assert diag.pref_mass_levels == _oracle_levels(pref[pref > evaluation.NONZERO_EPS])
+
+
+def test_diagnostics_peak_memory_per_user():
+    # 150 users rate 10 items each, 1,500 items in all: the n_items**2
+    # walk-2 pair mass dominates one user's diagnostics
+    n_items = 1500
+    rng = np.random.default_rng(0)
+    items = rng.permutation(n_items).reshape(150, 10)
+    ds = loads_ratings("\n".join(f"{u}\t{i}\t{rng.integers(1, 6)}"
+                                  for u in range(150) for i in items[u]))
+    graph = UserPrefGraph.from_store(derive_preferences(ds))
+    assert graph.n_items == n_items
+    tracemalloc.start()
+    try:
+        collect_diagnostics(graph, users=[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 8 * n_items ** 2
+
+
+def test_negative_diagnostics_sample_rejected():
+    store = random_store(np.random.default_rng(14), n_users=4, n_items=5, fill=0.5)
+    with pytest.raises(ValueError, match="sample"):
+        collect_diagnostics(UserPrefGraph.from_store(store), sample=-1)
 
 
 def test_diagnostics_on_connected_toy():
