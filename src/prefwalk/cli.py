@@ -232,8 +232,11 @@ def cmd_evaluate(args, config) -> int:
 
 
 def cmd_diagnose(args, config) -> int:
-    dataset, _ = _load(args, config)
     upls = _resolve(args, config, "upl")
+    if upls and len(upls) > 1:
+        raise UsageError("diagnose takes one upl, got "
+                         + ",".join(str(upl) for upl in upls))
+    dataset, _ = _load(args, config)
     rep = _resolve(args, config, "rep")
     if upls:
         spec = SplitSpec(upls[0], min_test=_resolve(args, config, "min_test"),
@@ -311,7 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="walk coverage diagnostics")
     common(p)
     walk_flags(p)
-    p.add_argument("--upl", type=_int_list, help="split first and diagnose the train side")
+    p.add_argument("--upl", type=_int_list,
+                   help="split first, keeping this many train ratings per user (one "
+                        "value), and diagnose the train side")
     p.add_argument("--rep", type=int, help="which repetition to diagnose")
     p.add_argument("--min-test", dest="min_test", type=int)
     p.add_argument("--sample", type=int, help="diagnose only this many users")

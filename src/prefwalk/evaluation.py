@@ -16,8 +16,13 @@ The protocol: for each requested per-user profile size, repeatedly
 split the dataset (keeping that many train ratings per user, the rest
 as test), rank each kept user's unseen items, and average NDCG at the
 requested cutoffs over users; repetitions differ only in the split
-seed.  Kept users are ranked and scored EVAL_BLOCK at a time.
-Reported std is the population std over repetition means.
+seed.  Kept users are ranked and scored EVAL_BLOCK at a time, the
+blocks spread over threads: SuperLU's solve and NumPy's array kernels
+release the GIL, and each block writes only its own users' rows, so the
+report does not depend on the thread count.  `run_evaluation(jobs=)`
+sets that count.  The CLI passes none (`evaluate --jobs` is a usage
+error): it comes from the CPUs the process may use, shared with BLAS's
+own threads.  Reported std is the population std over repetition means.
 
 Diagnostics probe how far each walk's mass actually spreads: the
 fraction of users / preference pairs reached, and how many distinct
@@ -26,7 +31,9 @@ they agree to 12 significant digits).
 """
 
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -206,11 +213,58 @@ def _user_item_matrix(ds: RatingsDataset, values) -> sparse.csr_matrix:
     return sparse.csr_matrix((values, (ds.users, ds.items)), shape=(ds.n_users, ds.n_items))
 
 
+# what OpenBLAS, the BLAS that numpy and scipy wheels ship, reads for
+# its thread count, in its order
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _default_jobs() -> int:
+    """The CPUs this process may use, divided by the threads each BLAS
+    call may use, so that the blocks' threads and BLAS's never ask for
+    more cores than there are.  Unless an environment variable caps it,
+    OpenBLAS uses every CPU, and its idle threads spin for a while after
+    each call (SuperLU's solve makes such calls), on the cores the
+    blocks' threads need: uncapped, evaluation runs on one thread."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return max(1, cpus // blas)
+
+
+def _ndcg_blocks(pool: ThreadPoolExecutor, ops: UserPrefOperators, warm: np.ndarray,
+                 seen: sparse.csr_matrix, gains: sparse.csr_matrix, cutoffs: list,
+                 walk1: UserWalkConfig, walk2: ItemWalkConfig) -> np.ndarray:
+    """NDCG of each warm user (a row) at each cutoff (a column), ranked
+    EVAL_BLOCK users at a time on the pool's threads, leaving out the
+    items each has seen.  Each block writes only its own rows and returns
+    nothing, so only the blocks in flight hold arrays."""
+    # built here, once: the threads only read the factor and `user_space`
+    ops.user_walk_factor(walk1.alpha)
+    per_user = np.empty((warm.size, len(cutoffs)))
+
+    def score(lo):
+        users = warm[lo:lo + EVAL_BLOCK]
+        block = rank_block(ops, users, max(cutoffs), seen[users].toarray() > 0, walk1, walk2)
+        per_user[lo:lo + users.size] = ndcg_rows(block.items, block.counts, gains[users],
+                                                 cutoffs)
+
+    for _ in pool.map(score, range(0, warm.size, EVAL_BLOCK)):  # raises a block's error
+        pass
+    return per_user
+
+
 def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
                    repetitions: int = 5, seed: int = 0, min_test: int = 10,
                    walk1: UserWalkConfig | None = None,
                    walk2: ItemWalkConfig | None = None,
-                   jobs: int = 1, user_sample: int | None = None,
+                   jobs: int | None = None, user_sample: int | None = None,
                    progress=None) -> EvalReport:
     """Full protocol over several profile sizes.
 
@@ -218,7 +272,11 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
     repetition (sampled reproducibly) — a cheap preview of the full run.
     Each repetition ranks its warm kept users EVAL_BLOCK at a time
     (`rank_block`) and scores the block's NDCG at once (`ndcg_rows`).
-    jobs is accepted and ignored: evaluation runs in this process.
+    jobs is the number of threads the blocks run on, at most jobs blocks
+    in flight at once; the report is the same for any jobs.  By default
+    it is the number of CPUs this process may use, divided by the
+    threads each BLAS call may use (`_default_jobs`): one thread per CPU
+    with OPENBLAS_NUM_THREADS=1, one thread with BLAS uncapped.
     """
     upls = list(upls)
     cutoffs = list(cutoffs)
@@ -228,6 +286,10 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
         raise ValueError(f"repetitions must be at least 1, got {repetitions}")
     if user_sample is not None and user_sample < 0:
         raise ValueError(f"user_sample must be at least 0, got {user_sample}")
+    if jobs is None:
+        jobs = _default_jobs()
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     walk1 = walk1 or UserWalkConfig()
     walk2 = walk2 or ItemWalkConfig()
     report = EvalReport(upls, cutoffs, repetitions, config={
@@ -236,47 +298,45 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
         "repetitions": repetitions, "user_sample": user_sample,
         "cutoffs": ",".join(str(k) for k in cutoffs),
     })
-    for upl in upls:
-        t0 = time.perf_counter()
-        rep_means = {k: [] for k in cutoffs}
-        for rep in range(repetitions):
-            train, test, kept = upl_split(
-                dataset, SplitSpec(upl, min_test=min_test, seed=seed,
-                                   repetitions=repetitions), rep)
-            if user_sample is not None and user_sample < kept.size:
-                rng = np.random.default_rng(np.random.SeedSequence([seed, upl, rep, 1]))
-                kept = np.sort(rng.choice(kept, size=user_sample, replace=False))
-            store = derive_preferences(train)
-            if store.total == 0:
-                # every sampled profile is all-ties: nobody can be ranked
-                report.evaluated_users[(upl, rep)] = 0
-                report.cold_skipped[(upl, rep)] = int(kept.size)
-                for k in cutoffs:
-                    rep_means[k].append(0.0)
-                continue
-            ops = user_pref_operators(UserPrefGraph.from_store(store))
-            warm = kept[ops.user_degrees[kept] > 0]
-            seen = _user_item_matrix(train, np.ones(train.n_ratings))
-            gains = _user_item_matrix(test, test.ratings)
-            per_user = np.empty((warm.size, len(cutoffs)))
-            for lo in range(0, warm.size, EVAL_BLOCK):
-                users = warm[lo:lo + EVAL_BLOCK]
-                block = rank_block(ops, users, max(cutoffs), seen[users].toarray() > 0,
-                                   walk1, walk2)
-                per_user[lo:lo + users.size] = ndcg_rows(block.items, block.counts,
-                                                         gains[users], cutoffs)
-            report.evaluated_users[(upl, rep)] = int(warm.size)
-            report.cold_skipped[(upl, rep)] = int(kept.size - warm.size)
-            for j, k in enumerate(cutoffs):
-                rep_means[k].append(float(per_user[:, j].mean()) if warm.size else 0.0)
-            if progress:
-                progress(f"upl={upl} rep={rep}: {warm.size} users, "
-                         + " ".join(f"ndcg@{k}={rep_means[k][-1]:.4f}" for k in cutoffs))
-        for k in cutoffs:
-            vals = rep_means[k]
-            report.cells[(upl, k)] = NdcgCell(
-                float(np.mean(vals)), float(np.std(vals)), vals)
-        report.runtime_s[upl] = time.perf_counter() - t0
+    # a split keeps at most every user, or the sample: no more blocks than that
+    most_kept = dataset.n_users if user_sample is None else min(dataset.n_users, user_sample)
+    workers = max(1, min(jobs, math.ceil(most_kept / EVAL_BLOCK)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for upl in upls:
+            t0 = time.perf_counter()
+            rep_means = {k: [] for k in cutoffs}
+            for rep in range(repetitions):
+                train, test, kept = upl_split(
+                    dataset, SplitSpec(upl, min_test=min_test, seed=seed,
+                                       repetitions=repetitions), rep)
+                if user_sample is not None and user_sample < kept.size:
+                    rng = np.random.default_rng(np.random.SeedSequence([seed, upl, rep, 1]))
+                    kept = np.sort(rng.choice(kept, size=user_sample, replace=False))
+                store = derive_preferences(train)
+                if store.total == 0:
+                    # every sampled profile is all-ties: nobody can be ranked
+                    report.evaluated_users[(upl, rep)] = 0
+                    report.cold_skipped[(upl, rep)] = int(kept.size)
+                    for k in cutoffs:
+                        rep_means[k].append(0.0)
+                    continue
+                ops = user_pref_operators(UserPrefGraph.from_store(store))
+                warm = kept[ops.user_degrees[kept] > 0]
+                seen = _user_item_matrix(train, np.ones(train.n_ratings))
+                gains = _user_item_matrix(test, test.ratings)
+                per_user = _ndcg_blocks(pool, ops, warm, seen, gains, cutoffs, walk1, walk2)
+                report.evaluated_users[(upl, rep)] = int(warm.size)
+                report.cold_skipped[(upl, rep)] = int(kept.size - warm.size)
+                for j, k in enumerate(cutoffs):
+                    rep_means[k].append(float(per_user[:, j].mean()) if warm.size else 0.0)
+                if progress:
+                    progress(f"upl={upl} rep={rep}: {warm.size} users, "
+                             + " ".join(f"ndcg@{k}={rep_means[k][-1]:.4f}" for k in cutoffs))
+            for k in cutoffs:
+                vals = rep_means[k]
+                report.cells[(upl, k)] = NdcgCell(
+                    float(np.mean(vals)), float(np.std(vals)), vals)
+            report.runtime_s[upl] = time.perf_counter() - t0
     return report
 
 
@@ -292,11 +352,10 @@ def _level_keys(v: np.ndarray, sig_digits: int) -> np.ndarray:
     return mant * 1000 + (exp + 500)
 
 
-def _sorted_levels(v: np.ndarray, sig_digits: int = LEVEL_DIGITS) -> int:
-    """`distinct_levels` of an array of positive values that it may sort in place."""
+def _count_levels(v: np.ndarray, sig_digits: int = LEVEL_DIGITS) -> int:
+    """`distinct_levels` of an ascending array of positive values."""
     if v.size == 0:
         return 0
-    v.sort()
     # relative step to the next value: inf where it overflows, NaN
     # between two infinities (which do not rise)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -328,7 +387,9 @@ def distinct_levels(values, sig_digits: int = LEVEL_DIGITS) -> int:
     formula's power of ten underflows and its keys stop meaning much.
     """
     v = np.asarray(values, dtype=np.float64)
-    return _sorted_levels(v[v > 0], sig_digits)
+    v = v[v > 0]
+    v.sort()
+    return _count_levels(v, sig_digits)
 
 
 @dataclass
@@ -430,17 +491,21 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
         sim_vals = sims[others] if others.size else np.empty(0)
         conc = outcome.first.concordances
         conc_vals = conc[conc > NONZERO_EPS]
+        conc_vals.sort()
+        # the n_items**2 pair masses are this loop's own, so they are
+        # sorted in place, with no filtered copy, and counted from the
+        # first value above NONZERO_EPS
         pref = outcome.second.pref_mass
-        pref_vals = pref[pref > NONZERO_EPS]
-        # each filtered copy is this loop's own, so it is sorted in place
+        pref.sort()
+        pref_vals = pref[np.searchsorted(pref, NONZERO_EPS, side="right"):]
         report.users.append(UserDiagnostics(
             user=int(u),
             similarity_fraction=float((sim_vals > NONZERO_EPS).mean()) if others.size else 0.0,
             similarity_levels=distinct_levels(sim_vals),
             concordance_fraction=conc_vals.size / uni,
-            concordance_levels=_sorted_levels(conc_vals),
+            concordance_levels=_count_levels(conc_vals),
             pref_mass_fraction=pref_vals.size / uni,
-            pref_mass_levels=_sorted_levels(pref_vals),
+            pref_mass_levels=_count_levels(pref_vals),
             first_iterations=outcome.first.iterations,
             first_converged=outcome.first.converged,
             second_iterations=outcome.second.iterations,

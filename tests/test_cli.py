@@ -210,6 +210,18 @@ def test_diagnose_after_split(ratings_file, capsys):
     assert "sampled users: 2" in stdout
 
 
+def test_diagnose_takes_one_upl(ratings_file, tmp_path, capsys):
+    # only one split's train side is diagnosed, so a list is refused
+    code, out, err = run_cli(capsys, "diagnose", ratings_file, "--upl", "3,4",
+                             "--min-test", "2")
+    assert code == 1 and out == ""
+    assert err == "error: diagnose takes one upl, got 3,4\n"
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text("upl=3,4\n", encoding="utf-8")
+    assert run_cli(capsys, "diagnose", ratings_file, "--min-test", "2",
+                   "--config", cfg) == (1, "", err)
+
+
 def test_config_file_and_precedence(ratings_file, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("top_k=2\nseed=5\n# a comment\nalpha=0.2\n", encoding="utf-8")

@@ -1,5 +1,10 @@
+import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,13 +13,13 @@ from scipy import sparse
 
 from helpers import first_warm_user, random_ratings, random_store
 
-from prefwalk import (ColdStartError, ItemWalkConfig, PreferenceStore, SplitSpec,
-                      UserPrefGraph, UserWalkConfig, collect_diagnostics, decode_pair,
-                      derive_preferences, distinct_levels, item_pole_operators,
+from prefwalk import (ColdStartError, ItemWalkConfig, NumericalError, PreferenceStore,
+                      SplitSpec, UserPrefGraph, UserWalkConfig, collect_diagnostics,
+                      decode_pair, derive_preferences, distinct_levels, item_pole_operators,
                       loads_ratings, ndcg_at_k, ndcg_rows, rank_block, rank_items_for_user,
                       run_evaluation, upl_split, user_pref_operators)
-from prefwalk import evaluation
-from prefwalk.item_walk import item_scores, recommend_topk
+from prefwalk import evaluation, graph as graph_module
+from prefwalk.item_walk import exclusion_mask, item_scores, recommend_topk
 from prefwalk.user_walk import restart_vector, solve_user_walk
 from prefwalk.walk_state import build_restart, score_items, solve_item_walk
 
@@ -371,13 +376,148 @@ def test_run_evaluation_shape_and_determinism():
     assert "# seed=7" in tsv
 
 
+def _block_dataset(seed=3):
+    """2 * EVAL_BLOCK + 5 users who rate 12 of 30 items each, upl=4
+    leaving more than two blocks of warm users.  Every 23rd user rates
+    all items 3, so derives no preference and is cold, between warm ones."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for u in range(2 * evaluation.EVAL_BLOCK + 5):
+        for i in rng.choice(30, size=12, replace=False):
+            lines.append(f"{u}\t{i}\t{3 if u % 23 == 0 else rng.integers(1, 6)}")
+    return loads_ratings("\n".join(lines))
+
+
 def test_run_evaluation_jobs_invariant():
-    ds = _protocol_dataset(seed=3)
+    # three blocks per repetition, cold users among them
+    ds = _block_dataset()
     kwargs = dict(upls=[4], cutoffs=[1, 5], repetitions=2, seed=1, min_test=5)
     serial = run_evaluation(ds, jobs=1, **kwargs)
-    parallel = run_evaluation(ds, jobs=2, **kwargs)
-    for key in serial.cells:
-        assert serial.cells[key].per_rep == parallel.cells[key].per_rep
+    assert min(serial.evaluated_users.values()) > 2 * evaluation.EVAL_BLOCK
+    assert min(serial.cold_skipped.values()) > 0
+    for jobs in (2, 3):
+        threaded = run_evaluation(ds, jobs=jobs, **kwargs)
+        for key in serial.cells:
+            assert serial.cells[key].per_rep == threaded.cells[key].per_rep
+        assert serial.evaluated_users == threaded.evaluated_users
+        assert serial.cold_skipped == threaded.cold_skipped
+
+
+def test_rank_block_on_threads_matches_serial():
+    # users rate 20 to 30 of 40 items, so nearly every pair of users
+    # shares a preference: the coupling is dense and its factor fills
+    # in, and every thread's solve does real work on the one shared
+    # SuperLU object.  More threads than cores, and a short switch
+    # interval, so the threads interleave as much as they can.
+    rng = np.random.default_rng(21)
+    n_users, n_items = 10 * evaluation.EVAL_BLOCK, 40
+    ds = random_ratings(rng, n_users=n_users, n_items=n_items, min_per_user=20,
+                        max_per_user=30)
+    ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(ds)))
+    lu = ops.user_walk_factor(UserWalkConfig().alpha)
+    assert ops.user_space.coupling.nnz > 0.9 * n_users ** 2
+    assert lu.L.nnz + lu.U.nnz > n_users ** 2 / 2
+    warm = np.flatnonzero(ops.user_degrees > 0)
+    starts = range(0, warm.size, evaluation.EVAL_BLOCK)
+    assert len(starts) == 10
+
+    def rank(lo):
+        users = warm[lo:lo + evaluation.EVAL_BLOCK]
+        rated = [ds.user_rows(int(u))[0] for u in users]
+        return rank_block(ops, users, 10, exclusion_mask(n_items, rated))
+
+    serial = [rank(lo) for lo in starts]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                for one, other in zip(serial, pool.map(rank, starts, timeout=60)):
+                    assert np.array_equal(one.items, other.items)
+                    assert np.array_equal(one.counts, other.counts)
+                    assert one.scored.scores.tobytes() == other.scored.scores.tobytes()
+                    assert one.first.similarities.tobytes() == other.first.similarities.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_run_evaluation_factors_once_per_repetition(monkeypatch):
+    # the factor (and `user_space` with it) is built before the blocks
+    # go to the threads, on the calling thread, never by two threads
+    calls = []
+    real = graph_module.splu
+
+    def spy(*args, **kwargs):
+        calls.append(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "splu", spy)
+    report = run_evaluation(_block_dataset(), upls=[4], cutoffs=[1], repetitions=2,
+                            seed=1, min_test=5, jobs=2)
+    assert min(report.evaluated_users.values()) > 2 * evaluation.EVAL_BLOCK
+    assert calls == [threading.current_thread()] * 2
+
+
+def test_run_evaluation_block_error_stops_cleanly(monkeypatch):
+    error = NumericalError("second block failed")
+    calls = itertools.count()
+    real = evaluation.rank_block
+
+    def failing(*args, **kwargs):
+        if next(calls) == 1:
+            raise error
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "rank_block", failing)
+    threads = threading.active_count()
+    with pytest.raises(NumericalError) as exc:
+        run_evaluation(_block_dataset(), upls=[4], cutoffs=[1], repetitions=1, seed=1,
+                       min_test=5, jobs=2)
+    assert exc.value is error
+    assert threading.active_count() == threads
+
+
+def test_run_evaluation_threads(monkeypatch):
+    # by default one thread per usable CPU left to the blocks by BLAS,
+    # and never more threads than blocks
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(evaluation, "ThreadPoolExecutor", Recording)
+    kwargs = dict(upls=[4], cutoffs=[1], repetitions=1, seed=1, min_test=5)
+    monkeypatch.setattr(evaluation, "_default_jobs", lambda: 2)
+    run_evaluation(_block_dataset(), **kwargs)
+    monkeypatch.setattr(evaluation, "_default_jobs", lambda: 8)
+    run_evaluation(_block_dataset(), **kwargs)
+    run_evaluation(_block_dataset(), jobs=8, user_sample=40, **kwargs)
+    run_evaluation(_protocol_dataset(), **kwargs)  # six users: one block
+    assert sizes == [2, 3, 2, 1]
+
+
+@pytest.mark.parametrize("env, jobs", [
+    ({}, 1),  # OpenBLAS then uses all 8 CPUs itself
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "4"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 8),
+    ({"OPENBLAS_NUM_THREADS": "16"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "3"}, 2),
+])
+def test_default_jobs_share_cpus_with_blas(monkeypatch, env, jobs):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    for var in evaluation._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert evaluation._default_jobs() == jobs
+    # without sched_getaffinity, every CPU counts as usable
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert evaluation._default_jobs() == jobs
 
 
 def test_run_evaluation_matches_per_user_loop():
@@ -495,6 +635,8 @@ def test_run_evaluation_user_sample():
     (dict(cutoffs=[]), "cutoffs"),
     (dict(repetitions=0), "repetitions"),
     (dict(user_sample=-3), "user_sample"),
+    (dict(jobs=0), "jobs"),
+    (dict(jobs=-2), "jobs"),
 ])
 def test_run_evaluation_rejects_invalid_counts(kwargs, word):
     args = dict(upls=[4], cutoffs=[1], repetitions=1, min_test=5) | kwargs
@@ -586,21 +728,30 @@ def test_distinct_levels_matches_per_value_rounding(size, seed, kinds, extra):
 
 
 def test_diagnostics_levels_match_per_value_rounding():
+    # at beta = 1 walk 2 reaches only the restart's pairs, so the pair
+    # coverage is below 1 and its count of reached pairs is tested too
     ds = _protocol_dataset(n_users=12, per_user=20, n_items=40, seed=3)
     train, _, _ = upl_split(ds, SplitSpec(10, min_test=5, seed=1, repetitions=1), 0)
     graph = UserPrefGraph.from_store(derive_preferences(train))
-    report = collect_diagnostics(graph)
     ops = user_pref_operators(graph)
     poles = item_pole_operators(graph.n_items)
+    uni = graph.n_items * (graph.n_items - 1)
     active = np.flatnonzero(ops.user_degrees > 0)
-    assert len(report.users) == active.size > 1
-    for diag in report.users:
-        outcome = rank_items_for_user(ops, *poles, diag.user, k=0)
-        conc, pref = outcome.first.concordances, outcome.second.pref_mass
-        sims = outcome.first.similarities[active[active != diag.user]]
-        assert diag.similarity_levels == _oracle_levels(sims)
-        assert diag.concordance_levels == _oracle_levels(conc[conc > evaluation.NONZERO_EPS])
-        assert diag.pref_mass_levels == _oracle_levels(pref[pref > evaluation.NONZERO_EPS])
+    for walk2 in (ItemWalkConfig(), ItemWalkConfig(beta=1.0)):
+        report = collect_diagnostics(graph, walk2=walk2)
+        assert len(report.users) == active.size > 1
+        for diag in report.users:
+            outcome = rank_items_for_user(ops, *poles, diag.user, k=0, walk2=walk2)
+            conc, pref = outcome.first.concordances, outcome.second.pref_mass
+            sims = outcome.first.similarities[active[active != diag.user]]
+            reached_conc = conc[conc > evaluation.NONZERO_EPS]
+            reached_pref = pref[pref > evaluation.NONZERO_EPS]
+            assert diag.similarity_levels == _oracle_levels(sims)
+            assert diag.concordance_levels == _oracle_levels(reached_conc)
+            assert diag.pref_mass_levels == _oracle_levels(reached_pref)
+            assert diag.concordance_fraction == reached_conc.size / uni
+            assert diag.pref_mass_fraction == reached_pref.size / uni
+            assert (diag.pref_mass_fraction < 1.0) == (walk2.beta == 1.0)
 
 
 def test_diagnostics_peak_memory_per_user():
