@@ -1,28 +1,31 @@
 """Ranking quality protocol and structural diagnostics.
 
-Ranking solves both walks exactly: the first in user space, against a
-sparse LU factor and user-space matrices that the graph's operators
-build once and keep, projected straight onto the item poles; the
-second by one score formula on those pole marginals.  Neither depends
-on max_iter, and per user the work is O(n_users + n_items) beside the
-solve: no vector over preferences or pairs is built unless diagnostics
-read the concordances or `RankOutcome.second`, walk 2's full state.
+Ranking solves both walks exactly: the first in user space, against an
+LU factor (dense where the user coupling is dense, else sparse) and
+user-space matrices that the graph's operators build once and keep,
+projected straight onto the item poles; the second by one score formula
+on those pole marginals.  Neither depends on max_iter, and per user
+the work is O(n_users + n_items) beside the solve: no vector over
+preferences or pairs is built unless diagnostics read the concordances
+or `RankOutcome.second`, walk 2's full state.
 It runs on blocks of users (`rank_block`): one solve with a column per
 user, the score formula along those columns, and a row-wise top-k.
 `rank_items_for_user` is the block of one, and gives each user the
-same items and scores as any block holding them.
+same scores as any block holding them up to rounding: the factor's
+solve may sum in another order for another block width.
 
 The protocol: for each requested per-user profile size, repeatedly
 split the dataset (keeping that many train ratings per user, the rest
 as test), rank each kept user's unseen items, and average NDCG at the
 requested cutoffs over users; repetitions differ only in the split
 seed.  Kept users are ranked and scored EVAL_BLOCK at a time, the
-blocks spread over threads: SuperLU's solve and NumPy's array kernels
-release the GIL, and each block writes only its own users' rows, so the
-report does not depend on the thread count.  `run_evaluation(jobs=)`
-sets that count.  The CLI passes none (`evaluate --jobs` is a usage
-error): it comes from the CPUs the process may use, shared with BLAS's
-own threads.  Reported std is the population std over repetition means.
+blocks spread over threads: both factors' solves (SuperLU's and
+LAPACK's getrs) and NumPy's array kernels release the GIL, and each
+block writes only its own users' rows, so the report does not depend
+on the thread count.  `run_evaluation(jobs=)` sets that count.  The
+CLI passes none (`evaluate --jobs` is a usage error): it comes from the
+CPUs the process may use, shared with BLAS's own threads.  Reported std
+is the population std over repetition means.
 
 Diagnostics probe how far each walk's mass actually spreads: the
 fraction of users / preference pairs reached, and how many distinct
@@ -209,10 +212,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _user_item_matrix(ds: RatingsDataset, values) -> sparse.csr_matrix:
-    return sparse.csr_matrix((values, (ds.users, ds.items)), shape=(ds.n_users, ds.n_items))
-
-
 # what OpenBLAS, the BLAS that numpy and scipy wheels ship, reads for
 # its thread count, in its order
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -223,7 +222,7 @@ def _default_jobs() -> int:
     call may use, so that the blocks' threads and BLAS's never ask for
     more cores than there are.  Unless an environment variable caps it,
     OpenBLAS uses every CPU, and its idle threads spin for a while after
-    each call (SuperLU's solve makes such calls), on the cores the
+    each call (the factor's solve makes such calls), on the cores the
     blocks' threads need: uncapped, evaluation runs on one thread."""
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -239,19 +238,20 @@ def _default_jobs() -> int:
 
 
 def _ndcg_blocks(pool: ThreadPoolExecutor, ops: UserPrefOperators, warm: np.ndarray,
-                 seen: sparse.csr_matrix, gains: sparse.csr_matrix, cutoffs: list,
+                 seen: np.ndarray, gains: sparse.csr_matrix, cutoffs: list,
                  walk1: UserWalkConfig, walk2: ItemWalkConfig) -> np.ndarray:
     """NDCG of each warm user (a row) at each cutoff (a column), ranked
     EVAL_BLOCK users at a time on the pool's threads, leaving out the
-    items each has seen.  Each block writes only its own rows and returns
-    nothing, so only the blocks in flight hold arrays."""
+    items each has seen (the rows of the users x items mask `seen`).
+    Each block writes only its own rows and returns nothing, so only the
+    blocks in flight hold arrays."""
     # built here, once: the threads only read the factor and `user_space`
     ops.user_walk_factor(walk1.alpha)
     per_user = np.empty((warm.size, len(cutoffs)))
 
     def score(lo):
         users = warm[lo:lo + EVAL_BLOCK]
-        block = rank_block(ops, users, max(cutoffs), seen[users].toarray() > 0, walk1, walk2)
+        block = rank_block(ops, users, max(cutoffs), seen[users], walk1, walk2)
         per_user[lo:lo + users.size] = ndcg_rows(block.items, block.counts, gains[users],
                                                  cutoffs)
 
@@ -322,8 +322,10 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
                     continue
                 ops = user_pref_operators(UserPrefGraph.from_store(store))
                 warm = kept[ops.user_degrees[kept] > 0]
-                seen = _user_item_matrix(train, np.ones(train.n_ratings))
-                gains = _user_item_matrix(test, test.ratings)
+                seen = np.zeros((train.n_users, train.n_items), dtype=bool)
+                seen[train.users, train.items] = True
+                gains = sparse.csr_matrix((test.ratings, (test.users, test.items)),
+                                          shape=(test.n_users, test.n_items))
                 per_user = _ndcg_blocks(pool, ops, warm, seen, gains, cutoffs, walk1, walk2)
                 report.evaluated_users[(upl, rep)] = int(warm.size)
                 report.cold_skipped[(upl, rep)] = int(kept.size - warm.size)

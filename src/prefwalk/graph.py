@@ -22,14 +22,25 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
-from .errors import DataError, EmptyGraphError, ParseError, PreferenceConflictError
+from .errors import (DataError, EmptyGraphError, NumericalError, ParseError,
+                     PreferenceConflictError)
 from .preferences import PreferenceStore, decode_pair, encode_pair, sorted_unique
 
 _SNAPSHOT_MAGIC = b"UPGS"
 _SNAPSHOT_VERSION = 1
+
+# Walk 1's factor is a dense LU when L @ M holds more than this share of
+# its n_users**2 entries and n_users is at most DENSE_FACTOR_MAX_USERS
+# (a dense factor takes 8 * n_users**2 bytes: 128 MiB at the cap).
+# Measured densities: 50% on the full ML-100K-shaped file, where SuperLU
+# fills in to 782K nonzeros, against 0.55%, 2.8% and 3.3% on its upl=10,
+# 30 and 50 splits, which stay sparse.
+DENSE_FACTOR_MIN_DENSITY = 1 / 8
+DENSE_FACTOR_MAX_USERS = 4096
 
 
 class UserPrefGraph:
@@ -167,6 +178,24 @@ class StochasticOperator:
         return np.asarray(self.matrix.sum(axis=0)).ravel()
 
 
+class DenseLU:
+    """LU factor of a square Fortran-ordered matrix, which it overwrites,
+    through LAPACK's getrf and getrs called directly: scipy's `lu_solve`
+    spends about 0.5 ms per call checking its arguments, as much as a
+    one-column solve on 943 users costs.  getrs releases the GIL."""
+
+    def __init__(self, matrix: np.ndarray):
+        self.lu, self.piv, info = dgetrf(matrix, overwrite_a=True)
+        if info != 0:
+            raise NumericalError(f"dense LU failed: LAPACK getrf info {info}")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for each column of rhs, Fortran-ordered."""
+        # scipy's getrs shifts the pivots it is given to 1-based and back
+        # in place, so each call gets its own copy: threads share the factor
+        return dgetrs(self.lu, self.piv.copy(), rhs)[0]
+
+
 @dataclass
 class UserPrefOperators:
     """Everything the first walk needs, built once per graph."""
@@ -187,18 +216,31 @@ class UserPrefOperators:
         return self.pref_col_indices[self.pref_col_indptr[user]:self.pref_col_indptr[user + 1]]
 
     def user_walk_factor(self, alpha: float):
-        """Sparse LU factor of I - (1 - alpha)**2 * L @ M, with L =
-        pref_to_user and M = user_to_pref: the first walk's fixed point
-        in user space.  Built on first use for each alpha, then kept;
-        the first call also builds `user_space`.  L @ M's pattern is
-        symmetric (entry (u, v) is nonzero exactly when u and v share a
-        preference), so columns are ordered by minimum degree on it."""
-        lu = self._factors.get(alpha)
-        if lu is None:
-            keep = 1.0 - alpha
-            system = sparse.identity(self.n_users) - keep * keep * self.user_space.coupling
-            lu = self._factors[alpha] = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        return lu
+        """LU factor of I - (1 - alpha)**2 * L @ M, with L = pref_to_user
+        and M = user_to_pref: the first walk's fixed point in user space.
+        Built on first use for each alpha, then kept; the first call also
+        builds `user_space`.  Either kind solves with `.solve(rhs)`.
+
+        Where L @ M is dense (see DENSE_FACTOR_MIN_DENSITY) the factor is
+        a `DenseLU`: a sparse one would fill in.  Otherwise it is
+        SuperLU's, and as L @ M's pattern is symmetric (entry (u, v) is
+        nonzero exactly when u and v share a preference), its columns
+        are ordered by minimum degree on that pattern."""
+        factor = self._factors.get(alpha)
+        if factor is None:
+            keep, n = 1.0 - alpha, self.n_users
+            coupling = self.user_space.coupling
+            if n <= DENSE_FACTOR_MAX_USERS and coupling.nnz > DENSE_FACTOR_MIN_DENSITY * n * n:
+                # entry for entry the same system as the sparse branch's
+                system = coupling.toarray(order="F")
+                system *= -(keep * keep)
+                system[np.arange(n), np.arange(n)] += 1.0
+                factor = DenseLU(system)
+            else:
+                system = sparse.identity(n) - keep * keep * coupling
+                factor = splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self._factors[alpha] = factor
+        return factor
 
     @cached_property
     def user_space(self) -> "UserSpaceOperators":

@@ -19,12 +19,14 @@ users,
 
 with G = L @ L.T.  L @ M is substochastic, so the system is nonsingular
 for alpha > 0.  `solve_user_walks` solves it for a block of targets at
-once, one right-hand side per target, against a sparse LU factor built
-once per operators and alpha, its columns ordered by minimum degree on
-L @ M's symmetric pattern (`UserPrefOperators.user_walk_factor`);
-`solve_user_walk` is the block of one.  The second walk reads c only
-through its mass per item pole, B @ c for the pole incidence B, which
-the precomputed B @ M and B @ L.T give from s directly:
+once, one right-hand side per target, against an LU factor built once
+per operators and alpha (`UserPrefOperators.user_walk_factor`): a dense
+one where L @ M is dense, else SuperLU's, its columns ordered by
+minimum degree on L @ M's symmetric pattern.  Both solve through
+`.solve`; `solve_user_walk` is the block of one.  The second walk
+reads c only through its mass per item pole, B @ c for the pole
+incidence B, which the precomputed B @ M and B @ L.T give from s
+directly:
 
     B @ c = (1 - alpha) * (B @ M) @ s + alpha * (B @ L.T)[:, u] / Z_u
 

@@ -1,11 +1,13 @@
-"""Shared generators for synthetic test instances."""
+"""Shared generators for synthetic test instances, and shared checks."""
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
-from prefwalk import PreferenceStore, loads_ratings
+from prefwalk import PreferenceStore, graph, loads_ratings
 
 
 def random_ratings(rng, n_users=8, n_items=9, min_per_user=2, max_per_user=None,
@@ -55,3 +57,41 @@ def ml100k_file():
         if path and path.is_file():
             return path
     return None
+
+
+@contextmanager
+def factor_kind(kind: str):
+    """Within the block, walk 1's factor is built dense ("dense") or
+    sparse ("sparse") whatever the coupling's density (test graphs stay
+    under the dense factor's user cap)."""
+    name, value = {"dense": ("DENSE_FACTOR_MIN_DENSITY", -1.0),
+                   "sparse": ("DENSE_FACTOR_MAX_USERS", 0)}[kind]
+    with mock.patch.object(graph, name, value):
+        yield
+
+
+def assert_same_ranking(items_a, items_b, scores_a, scores_b, tol: float) -> int:
+    """Assert that two rankings agree up to ties within tol, and return
+    the number of positions that hold different items.
+
+    scores_a and scores_b score every item, one per side, and must agree
+    within tol item by item.  items_a and items_b are rankings (item
+    ids, best first) of the same length, each in non-increasing order of
+    its own scores up to tol.  Position by position they hold the same
+    item or two items whose scores are equal within tol: they differ
+    only in order within runs of tied scores, and in which items of a
+    run that crosses the last position made the list."""
+    items_a, items_b = np.asarray(items_a), np.asarray(items_b)
+    scores_a, scores_b = np.asarray(scores_a, float), np.asarray(scores_b, float)
+    assert scores_a.shape == scores_b.shape
+    apart = np.abs(scores_a - scores_b)
+    assert np.all(apart <= tol), f"scores differ by {apart.max():.3g} > {tol:.3g}"
+    assert items_a.shape == items_b.shape, (items_a, items_b)
+    for items, scores in ((items_a, scores_a), (items_b, scores_b)):
+        assert np.unique(items).size == items.size, f"repeated items in {items}"
+        assert np.all(np.diff(scores[items]) <= tol), f"{items} is out of order"
+    gap = np.abs(scores_a[items_a] - scores_a[items_b])
+    bad = np.flatnonzero(gap > tol)
+    assert bad.size == 0, (f"position {bad[0]} holds items {items_a[bad[0]]} and "
+                           f"{items_b[bad[0]]}, scores {gap[bad[0]]:.3g} apart")
+    return int(np.count_nonzero(items_a != items_b))

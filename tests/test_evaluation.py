@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from helpers import first_warm_user, random_ratings, random_store
+from helpers import (assert_same_ranking, factor_kind, first_warm_user, random_ratings,
+                     random_store)
 
 from prefwalk import (ColdStartError, ItemWalkConfig, NumericalError, PreferenceStore,
                       SplitSpec, UserPrefGraph, UserWalkConfig, collect_diagnostics,
@@ -296,6 +297,29 @@ def test_rank_block_matches_one_user_calls(seed):
                        walk1, walk2)
 
 
+def test_same_ranking_allows_only_ties():
+    tol = 1e-12
+    # items 1, 2 and 4 tie, exactly or within tol; item 5 is 1e-9 off them
+    scores = np.array([0.9, 0.5, 0.5, 0.3, 0.5 + 1e-13, 0.5 - 1e-9])
+    same = assert_same_ranking
+    assert same([0, 1, 2, 4], [0, 1, 2, 4], scores, scores, tol) == 0
+    assert same([0, 1, 2, 4], [0, 4, 1, 2], scores, scores + 5e-13, tol) == 3
+    assert same([0, 1, 2], [0, 2, 4], scores, scores, tol) == 2  # a tie across the cut
+    assert same([5, 3], [5, 3], scores, scores, tol) == 0
+    refused = [
+        ([0, 1, 2, 4], [0, 1, 2, 4], scores, scores + 2e-12),  # scores apart
+        ([0, 1, 5], [0, 5, 1], scores, scores),                # a near-tie beyond tol
+        ([0, 1, 2], [0, 1, 5], scores, scores),                # so also across the cut
+        ([0, 3], [3, 0], scores, scores),                      # no tie at all
+        ([0, 1, 2], [0, 1], scores, scores),                   # lengths differ
+        ([1, 0], [1, 0], scores, scores),                      # out of order
+        ([0, 1, 1], [0, 1, 2], scores, scores),                # an item twice
+    ]
+    for items_a, items_b, scores_a, scores_b in refused:
+        with pytest.raises(AssertionError):
+            same(items_a, items_b, scores_a, scores_b, tol)
+
+
 def test_ranking_builds_no_preference_sized_vector():
     ds = random_ratings(np.random.default_rng(5), n_users=4, n_items=400,
                         min_per_user=400, raw_offset=0)
@@ -405,57 +429,71 @@ def test_run_evaluation_jobs_invariant():
 
 def test_rank_block_on_threads_matches_serial():
     # users rate 20 to 30 of 40 items, so nearly every pair of users
-    # shares a preference: the coupling is dense and its factor fills
-    # in, and every thread's solve does real work on the one shared
-    # SuperLU object.  More threads than cores, and a short switch
-    # interval, so the threads interleave as much as they can.
+    # shares a preference: the coupling is dense, so by rule its factor
+    # is a dense LU, and a sparse one, built on request, fills in.  For
+    # each kind, every thread's solve does real work on the one shared
+    # factor.  More threads than cores, and a short switch interval, so
+    # the threads interleave as much as they can.
     rng = np.random.default_rng(21)
     n_users, n_items = 10 * evaluation.EVAL_BLOCK, 40
     ds = random_ratings(rng, n_users=n_users, n_items=n_items, min_per_user=20,
                         max_per_user=30)
-    ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(ds)))
-    lu = ops.user_walk_factor(UserWalkConfig().alpha)
-    assert ops.user_space.coupling.nnz > 0.9 * n_users ** 2
+    store = derive_preferences(ds)
+    dense = user_pref_operators(UserPrefGraph.from_store(store))
+    assert dense.user_space.coupling.nnz > 0.9 * n_users ** 2
+    assert type(dense.user_walk_factor(UserWalkConfig().alpha)) is graph_module.DenseLU
+    sparse_ops = user_pref_operators(UserPrefGraph.from_store(store))
+    with factor_kind("sparse"):
+        lu = sparse_ops.user_walk_factor(UserWalkConfig().alpha)
     assert lu.L.nnz + lu.U.nnz > n_users ** 2 / 2
-    warm = np.flatnonzero(ops.user_degrees > 0)
+    warm = np.flatnonzero(dense.user_degrees > 0)
     starts = range(0, warm.size, evaluation.EVAL_BLOCK)
     assert len(starts) == 10
 
-    def rank(lo):
+    def rank(ops, lo):
         users = warm[lo:lo + evaluation.EVAL_BLOCK]
         rated = [ds.user_rows(int(u))[0] for u in users]
         return rank_block(ops, users, 10, exclusion_mask(n_items, rated))
 
-    serial = [rank(lo) for lo in starts]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            for _ in range(3):
-                for one, other in zip(serial, pool.map(rank, starts, timeout=60)):
-                    assert np.array_equal(one.items, other.items)
-                    assert np.array_equal(one.counts, other.counts)
-                    assert one.scored.scores.tobytes() == other.scored.scores.tobytes()
-                    assert one.first.similarities.tobytes() == other.first.similarities.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
+    for ops in (dense, sparse_ops):
+        serial = [rank(ops, lo) for lo in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(3):
+                    threaded = pool.map(rank, itertools.repeat(ops), starts, timeout=60)
+                    for one, other in zip(serial, threaded):
+                        assert np.array_equal(one.items, other.items)
+                        assert np.array_equal(one.counts, other.counts)
+                        assert one.scored.scores.tobytes() == other.scored.scores.tobytes()
+                        assert (one.first.similarities.tobytes()
+                                == other.first.similarities.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_run_evaluation_factors_once_per_repetition(monkeypatch):
     # the factor (and `user_space` with it) is built before the blocks
-    # go to the threads, on the calling thread, never by two threads
+    # go to the threads, on the calling thread, never by two threads,
+    # whichever kind it is
     calls = []
-    real = graph_module.splu
 
-    def spy(*args, **kwargs):
-        calls.append(threading.current_thread())
-        return real(*args, **kwargs)
+    def spy(builder):
+        def build(*args, **kwargs):
+            calls.append((builder.__name__, threading.current_thread()))
+            return builder(*args, **kwargs)
+        return build
 
-    monkeypatch.setattr(graph_module, "splu", spy)
-    report = run_evaluation(_block_dataset(), upls=[4], cutoffs=[1], repetitions=2,
-                            seed=1, min_test=5, jobs=2)
-    assert min(report.evaluated_users.values()) > 2 * evaluation.EVAL_BLOCK
-    assert calls == [threading.current_thread()] * 2
+    for name in ("splu", "DenseLU"):
+        monkeypatch.setattr(graph_module, name, spy(getattr(graph_module, name)))
+    for kind, builder in (("dense", "DenseLU"), ("sparse", "splu")):
+        calls.clear()
+        with factor_kind(kind):
+            report = run_evaluation(_block_dataset(), upls=[4], cutoffs=[1], repetitions=2,
+                                    seed=1, min_test=5, jobs=2)
+        assert min(report.evaluated_users.values()) > 2 * evaluation.EVAL_BLOCK
+        assert calls == [(builder, threading.current_thread())] * 2
 
 
 def test_run_evaluation_block_error_stops_cleanly(monkeypatch):

@@ -1,13 +1,22 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import SuperLU
 
-from helpers import first_warm_user, random_store
+from helpers import assert_same_ranking, factor_kind, first_warm_user, random_store
 
-from prefwalk import (ColdStartError, PreferenceStore, UserPrefGraph, UserWalkConfig,
-                      restart_vector, run_user_walk, solve_user_walk, user_pref_operators)
-from prefwalk.reference import (dense_fixed_point, dense_restart_vector,
-                                dense_user_pref_matrices, stacked_system)
+from prefwalk import (ColdStartError, NumericalError, PreferenceStore, SplitSpec,
+                      UserPrefGraph, UserWalkConfig, derive_preferences, item_pole_operators,
+                      loads_ratings, rank_items_for_user, restart_vector, run_user_walk,
+                      solve_user_walk, upl_split, user_pref_operators)
+from prefwalk import graph as graph_module
+from prefwalk.graph import DenseLU
+from prefwalk.reference import (dense_fixed_point, dense_reference_ranking,
+                                dense_restart_vector, dense_user_pref_matrices,
+                                stacked_system)
 
 
 def ops_for(store):
@@ -197,12 +206,104 @@ def test_factor_reuse_matches_fresh_operators(seed, alpha):
     store = random_store(rng, n_users=int(rng.integers(1, 8)), n_items=5, fill=0.5)
     if store.total == 0:
         return
-    shared = ops_for(store)
     warm = [u for u in range(store.n_users) if store.count(u) > 0]
-    for cfg in (UserWalkConfig(alpha=alpha), UserWalkConfig(), UserWalkConfig(alpha=alpha)):
-        for u in warm:  # the shared operators reuse one factor per alpha
-            reused = solve_user_walk(shared, u, cfg)
-            fresh = solve_user_walk(ops_for(store), u, cfg)
-            assert np.array_equal(reused.similarities, fresh.similarities)
-            assert np.array_equal(reused.concordances, fresh.concordances)
-    assert shared.user_walk_factor(alpha) is shared.user_walk_factor(alpha)
+    for kind, factor_type in (("dense", DenseLU), ("sparse", SuperLU)):
+        with factor_kind(kind):
+            shared = ops_for(store)
+            for cfg in (UserWalkConfig(alpha=alpha), UserWalkConfig(),
+                        UserWalkConfig(alpha=alpha)):
+                for u in warm:  # the shared operators reuse one factor per alpha
+                    reused = solve_user_walk(shared, u, cfg)
+                    fresh = solve_user_walk(ops_for(store), u, cfg)
+                    assert np.array_equal(reused.similarities, fresh.similarities)
+                    assert np.array_equal(reused.concordances, fresh.concordances)
+        # memoized: the kind stays as built after the rule changes back
+        assert type(shared.user_walk_factor(alpha)) is factor_type
+        assert shared.user_walk_factor(alpha) is shared.user_walk_factor(alpha)
+        assert set(shared._factors) == {alpha, UserWalkConfig().alpha}
+
+
+def _disjoint_store(n_users, shared=0):
+    """User u holds only the pair (2u, 2u + 1), so L @ M is diagonal;
+    users 1 .. shared also hold user 0's pair, adding 2 * shared
+    off-diagonal entries."""
+    rows = [[(2 * u, 2 * u + 1)] + ([(0, 1)] if 0 < u <= shared else [])
+            for u in range(n_users)]
+    return PreferenceStore.from_pairs(n_users, 2 * n_users, rows)
+
+
+def test_factor_kind_follows_coupling_density(monkeypatch):
+    # 8 users: dense takes more than 8**2 / 8 = 8 coupling entries
+    for shared, factor_type in ((0, SuperLU), (1, DenseLU)):
+        ops = ops_for(_disjoint_store(8, shared))
+        assert ops.user_space.coupling.nnz == 8 + 2 * shared
+        assert type(ops.user_walk_factor(0.15)) is factor_type
+    # the same density beyond the user cap stays sparse
+    store = random_store(np.random.default_rng(4), n_users=6, n_items=6, fill=0.6)
+    assert ops_for(store).user_space.coupling.nnz > 6 * 6 / 8
+    for cap, factor_type in ((6, DenseLU), (5, SuperLU)):
+        monkeypatch.setattr(graph_module, "DENSE_FACTOR_MAX_USERS", cap)
+        assert type(ops_for(store).user_walk_factor(0.15)) is factor_type
+
+
+def test_dense_factor_failure_raises_not_ranks(monkeypatch):
+    with pytest.raises(NumericalError, match="getrf info 3"):
+        DenseLU(np.asfortranarray(np.diag([1.0, 2.0, 0.0])))
+    store = random_store(np.random.default_rng(4), n_users=6, n_items=6, fill=0.6)
+    ops = ops_for(store)
+    real = graph_module.dgetrf
+
+    def failing(matrix, overwrite_a):
+        lu, piv, _ = real(matrix, overwrite_a=overwrite_a)
+        return lu, piv, 2
+
+    monkeypatch.setattr(graph_module, "dgetrf", failing)
+    with pytest.raises(NumericalError):
+        rank_items_for_user(ops, *item_pole_operators(store.n_items), first_warm_user(store))
+    assert not ops._factors
+
+
+def _bench_generator():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_benchmark_splits_keep_the_sparse_factor():
+    # the seed-1 benchmark file's upl=10 and upl=30 train splits, built
+    # in memory as the benchmark builds them, stay on SuperLU, so their
+    # NDCG cells and diagnostic rows keep the sparse path's sums
+    gen = _bench_generator()
+    ds = loads_ratings(gen.encode(*gen.generate(1)).decode("ascii"))
+    for upl in (10, 30):
+        train = upl_split(ds, SplitSpec(upl, seed=1, repetitions=1), 0)[0]
+        ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(train)))
+        assert type(ops.user_walk_factor(UserWalkConfig().alpha)) is SuperLU
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_dense_factor_ranks_as_reference_and_sparse(seed):
+    rng = np.random.default_rng(seed)
+    store = random_store(rng, n_users=int(rng.integers(2, 30)),
+                         n_items=int(rng.integers(3, 10)), fill=0.5)
+    if store.total == 0:
+        return
+    target, n = first_warm_user(store), store.n_items
+    poles = item_pole_operators(n)
+    alpha = float(rng.uniform(0.05, 1.0))
+    outcomes = {}
+    for kind, factor_type in (("dense", DenseLU), ("sparse", SuperLU)):
+        with factor_kind(kind):
+            ops = ops_for(store)
+            outcomes[kind] = rank_items_for_user(ops, *poles, target, k=n,
+                                                 walk1=UserWalkConfig(alpha=alpha))
+            assert type(ops.user_walk_factor(alpha)) is factor_type
+    dense, sparse = outcomes["dense"], outcomes["sparse"]
+    ref = dense_reference_ranking(store, target, alpha=alpha, k=n, tol=1e-15, max_iter=5000)
+    assert_same_ranking(dense.items, ref.items, dense.scored.scores, ref.scores, 1e-12)
+    assert_same_ranking(dense.items, sparse.items, dense.scored.scores, sparse.scored.scores,
+                        1e-14)
+    assert np.abs(dense.first.similarities - sparse.first.similarities).max() <= 1e-14
