@@ -102,29 +102,32 @@ def _parse_stream(stream, sep: str, name: str) -> RatingsDataset:
     )
 
 
-def load_ratings(path, fmt: str = "tsv_umr") -> RatingsDataset:
-    """Parse a ratings file.  fmt is one of 'tsv_umr' or 'csv_umr'."""
+def _separator(fmt: str) -> str:
     if fmt not in FORMAT_SEPS:
         raise ParseError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_SEPS)}")
+    return FORMAT_SEPS[fmt]
+
+
+def load_ratings(path, fmt: str = "tsv_umr") -> RatingsDataset:
+    """Parse a ratings file.  fmt is one of 'tsv_umr' or 'csv_umr'."""
+    sep = _separator(fmt)
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_stream(fh, FORMAT_SEPS[fmt], str(path))
+        return _parse_stream(fh, sep, str(path))
 
 
 def loads_ratings(text: str, fmt: str = "tsv_umr") -> RatingsDataset:
     """Parse ratings from a string (mainly for tests)."""
-    if fmt not in FORMAT_SEPS:
-        raise ParseError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_SEPS)}")
-    return _parse_stream(io.StringIO(text), FORMAT_SEPS[fmt], "<string>")
+    return _parse_stream(io.StringIO(text), _separator(fmt), "<string>")
 
 
 def write_ratings(dataset: RatingsDataset, path, fmt: str = "tsv_umr") -> None:
-    """Write ratings back out with the original raw ids."""
-    sep = FORMAT_SEPS[fmt]
+    """Write ratings with their raw ids, each in the shortest form that reads back exactly."""
+    sep = _separator(fmt)
     raw_u = dataset.raw_user_ids[dataset.users]
     raw_i = dataset.raw_item_ids[dataset.items]
     with open(path, "w", encoding="utf-8") as fh:
         for u, i, r in zip(raw_u, raw_i, dataset.ratings):
-            fh.write(f"{u}{sep}{i}{sep}{r:g}\n")
+            fh.write(f"{u}{sep}{i}{sep}{np.format_float_positional(r, trim='-')}\n")
 
 
 @dataclass

@@ -15,7 +15,7 @@ class DataError(PrefwalkError):
 
 
 class ParseError(DataError):
-    """A ratings file (or snapshot) could not be parsed."""
+    """A ratings file could not be parsed."""
 
 
 class EmptyDatasetError(DataError):

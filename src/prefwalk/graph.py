@@ -16,7 +16,6 @@ n_items wide, never as wide as the preference side.
 Pole indexing: win pole of item i is i, loss pole is n_items + i.
 """
 
-import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,12 +25,8 @@ from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
-from .errors import (DataError, EmptyGraphError, NumericalError, ParseError,
-                     PreferenceConflictError)
-from .preferences import PreferenceStore, decode_pair, encode_pair, sorted_unique
-
-_SNAPSHOT_MAGIC = b"UPGS"
-_SNAPSHOT_VERSION = 1
+from .errors import EmptyGraphError, NumericalError
+from .preferences import PreferenceStore, decode_pair, sorted_unique
 
 # Walk 1's factor is a dense LU when L @ M holds more than this share of
 # its n_users**2 entries and n_users is at most DENSE_FACTOR_MAX_USERS
@@ -44,26 +39,14 @@ DENSE_FACTOR_MAX_USERS = 4096
 
 
 class UserPrefGraph:
-    """Mutable bipartite user/preference graph over one PreferenceStore.
+    """Read-only user/preference graph: a view that shares one PreferenceStore."""
 
-    The graph never writes its store's CSR arrays: `from_store` and
-    `to_store` share them in O(1), and each mutation builds new arrays,
-    at O(edges) per call, so a store handed in or out never changes.
-    Preference nodes exist only once some user holds the preference;
-    adding an edge a user already has is a no-op, and adding the
-    reverse orientation of one of their pairs is an error.
-    """
-
-    def __init__(self, n_users: int, n_items: int):
-        if n_users < 0 or n_items < 0:
-            raise ValueError("negative node counts")
-        self._store = PreferenceStore(n_users, n_items, [0] * (n_users + 1), [])
+    def __init__(self, store: PreferenceStore):
+        self._store = store
 
     @classmethod
     def from_store(cls, store: PreferenceStore) -> "UserPrefGraph":
-        g = cls(0, 0)
-        g._store = store
-        return g
+        return cls(store)
 
     def to_store(self) -> PreferenceStore:
         return self._store
@@ -71,104 +54,14 @@ class UserPrefGraph:
     n_users = property(lambda self: self._store.n_users)
     n_items = property(lambda self: self._store.n_items)
 
-    # -- mutation ---------------------------------------------------------
-
-    def add_user(self) -> int:
-        """Append an isolated user; returns its id."""
-        s = self._store
-        self._store = PreferenceStore(s.n_users + 1, s.n_items,
-                                      np.append(s.indptr, s.indptr[-1]), s.pair_ids)
-        return s.n_users
-
-    def add_item(self) -> int:
-        """Grow the item universe; returns the new item's id.  Pair ids
-        depend on the item count, so every stored id is re-encoded."""
-        s = self._store
-        w, l = decode_pair(s.pair_ids, s.n_items)
-        self._store = PreferenceStore(s.n_users, s.n_items + 1, s.indptr,
-                                      encode_pair(w, l, s.n_items + 1))
-        return s.n_items
-
-    def add_preference(self, user: int, pair) -> None:
-        """Attach one (winner, loser) preference to a user."""
-        s, w, l = self._store, int(pair[0]), int(pair[1])
-        if not 0 <= user < s.n_users:
-            raise ValueError(f"user {user} out of range")
-        if w == l or not (0 <= w < s.n_items and 0 <= l < s.n_items):
-            raise ValueError(f"invalid item pair ({w}, {l})")
-        held, pid = s.prefs_of(user), w * s.n_items + l
-        if l * s.n_items + w in held:
-            raise PreferenceConflictError(
-                f"user {user}: both orientations of items ({w}, {l}) asserted")
-        if pid not in held:
-            pair_ids = np.insert(s.pair_ids, s.indptr[user] + np.searchsorted(held, pid), pid)
-            self._store = PreferenceStore(s.n_users, s.n_items,
-                                          s.indptr + (np.arange(s.n_users + 1) > user), pair_ids)
-
-    # -- inspection -------------------------------------------------------
-
-    def prefs_of(self, user: int) -> np.ndarray:
-        return self._store.prefs_of(user)
-
     def user_degree(self, user: int) -> int:
         return self._store.count(user)
-
-    @property
-    def n_edges(self) -> int:
-        return self._store.total
-
-    def edge_arrays(self):
-        """(users, pair_ids) for every edge, sorted by (user, pair_id)."""
-        s = self._store
-        return np.repeat(np.arange(s.n_users, dtype=np.int64), np.diff(s.indptr)), s.pair_ids
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UserPrefGraph):
-            return NotImplemented
-        return self._store == other._store
-
-    # -- snapshot ---------------------------------------------------------
-
-    def save(self, path) -> None:
-        """Binary snapshot: magic, version, counts, then (user, pair_id)
-        edge pairs as little-endian 32-bit unsigned ints."""
-        users, pids = self.edge_arrays()
-        if max(self.n_users, self.n_items * self.n_items) >= 2 ** 32:
-            raise DataError("graph too large for the 32-bit snapshot format")
-        header = _SNAPSHOT_MAGIC + struct.pack(
-            "<IIII", _SNAPSHOT_VERSION, self.n_users, self.n_items, len(users))
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.column_stack([users, pids]).astype("<u4").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "UserPrefGraph":
-        """Read a snapshot written by `save`.  Edges may come in any
-        order; duplicates collapse, as `add_preference` would."""
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if len(blob) < 20 or blob[:4] != _SNAPSHOT_MAGIC:
-            raise ParseError(f"{path}: not a graph snapshot")
-        version, n_users, n_items, n_edges = struct.unpack("<IIII", blob[4:20])
-        if version != _SNAPSHOT_VERSION:
-            raise ParseError(f"{path}: unsupported snapshot version {version}")
-        body = np.frombuffer(blob[20:], dtype="<u4")
-        if body.size != 2 * n_edges:
-            raise ParseError(f"{path}: expected {n_edges} edges, found {body.size // 2}")
-        users, pids = body.reshape(-1, 2).astype(np.int64).T
-        w, l = np.divmod(pids, max(n_items, 1))
-        bad = (users >= n_users) | (w >= n_items) | (w == l)
-        if bad.any():
-            at = bad.argmax()
-            raise ParseError(f"{path}: edge ({users[at]}, {pids[at]}) out of range")
-        return cls.from_store(PreferenceStore.from_edges(n_users, n_items, users, pids))
 
 
 @dataclass
 class StochasticOperator:
     """A column-stochastic transition, applied as a matrix-vector product."""
 
-    direction: str
     matrix: sparse.csr_matrix
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -278,6 +171,12 @@ class UserSpaceOperators:
     poles_from_restart: sparse.csc_matrix  # B @ L.T, 2 * n_items x n_users
 
 
+def _pair_columns(pair_ids: np.ndarray):
+    """The distinct pair ids, sorted, and each id's index among them."""
+    observed = sorted_unique(pair_ids)
+    return observed, np.searchsorted(observed, pair_ids)
+
+
 def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
     """Column-normalized transition operators of the user/preference
     graph, read straight from its store's CSR arrays: L = pref_to_user
@@ -286,8 +185,7 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
     indptr, pids = store.indptr, store.pair_ids
     if pids.size == 0:
         raise EmptyGraphError("graph has no edges")
-    observed = sorted_unique(pids)
-    cols = np.searchsorted(observed, pids)  # ascending within each user, as pids are
+    observed, cols = _pair_columns(pids)  # cols ascend within each user, as pids do
     support = np.bincount(cols, minlength=observed.size).astype(np.float64)
     degrees = np.diff(indptr).astype(np.float64)
     shape = (g.n_users, observed.size)
@@ -297,9 +195,8 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
                                 shape=shape[::-1]).tocsr()
     return UserPrefOperators(
         n_users=g.n_users, n_items=g.n_items, observed_ids=observed, pref_support=support,
-        user_degrees=degrees, pref_to_user=StochasticOperator("pref_to_user", to_user),
-        user_to_pref=StochasticOperator("user_to_pref", to_pref),
-        pref_col_indptr=indptr, pref_col_indices=cols)
+        user_degrees=degrees, pref_to_user=StochasticOperator(to_user),
+        user_to_pref=StochasticOperator(to_pref), pref_col_indptr=indptr, pref_col_indices=cols)
 
 
 @dataclass
@@ -314,10 +211,10 @@ def connectivity_report(g: UserPrefGraph) -> ConnectivityReport:
     """Connected components over users-with-edges plus preference nodes."""
     store = g.to_store()
     isolated = int(np.count_nonzero(np.diff(store.indptr) == 0))
-    observed = sorted_unique(store.pair_ids)
+    observed, cols = _pair_columns(store.pair_ids)
     n_nodes = g.n_users + observed.size
     # users, then preferences; each user's row lists its preference nodes
-    cols = g.n_users + np.searchsorted(observed, store.pair_ids)
+    cols += g.n_users
     indptr = np.r_[store.indptr, np.full(observed.size, store.total)]
     adj = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n_nodes, n_nodes))
     # every isolated user is a component of its own, and is not counted

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from helpers import random_ratings
 
 from prefwalk import (EmptyDatasetError, EmptySplitError, ParseError, SplitSpec,
-                      load_ratings, loads_ratings, upl_split, write_ratings)
+                      derive_preferences, load_ratings, loads_ratings, upl_split,
+                      write_ratings)
 
 
 def test_parse_two_lines():
@@ -97,6 +98,8 @@ def test_write_read_roundtrip(tmp_path):
     ds = random_ratings(rng, n_users=5, n_items=6)
     path = tmp_path / "out.tsv"
     write_ratings(ds, path)
+    # integer ratings are written as integers
+    assert all(line.split("\t")[2].isdigit() for line in path.read_text().splitlines())
     back = load_ratings(path)
     assert back.n_users == ds.n_users and back.n_items == ds.n_items
     assert list(back.raw_user_ids) == list(ds.raw_user_ids)
@@ -105,6 +108,18 @@ def test_write_read_roundtrip(tmp_path):
         items2, ratings2 = back.user_rows(u)
         assert list(items) == list(items2)
         assert list(ratings) == list(ratings2)
+
+    # non-integer ratings read back exactly; each user's first two differ
+    # only in the 7th significant digit, so 6 digits would tie them
+    exact = loads_ratings("1,1,3.141592\n1,2,3.141593\n1,3,0.1\n"
+                          "2,1,1234567\n2,2,1234568\n2,3,-2.5e-07\n", fmt="csv_umr")
+    write_ratings(exact, path, fmt="csv_umr")
+    back = load_ratings(path, fmt="csv_umr")
+    assert back.ratings.tolist() == exact.ratings.tolist()
+    assert derive_preferences(back) == derive_preferences(exact)
+    assert derive_preferences(back).total == 6
+    with pytest.raises(ParseError, match="unknown format"):
+        write_ratings(exact, path, fmt="json")
 
 
 def test_user_rows_and_profile_sizes():

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import random_store
 
-from prefwalk import (EmptyGraphError, ParseError, PreferenceConflictError,
-                      PreferenceStore, UserPrefGraph, connectivity_report,
-                      encode_pair, item_pole_operators, universe_size,
-                      user_pref_operators)
+from prefwalk import (EmptyGraphError, PreferenceStore, UserPrefGraph, connectivity_report,
+                      item_pole_operators, user_pref_operators)
 from prefwalk.preferences import decode_pair
 from prefwalk.reference import dense_pole_matrices, dense_user_pref_matrices
 
@@ -20,85 +18,35 @@ def two_user_store():
 
 
 def test_counts_from_store():
-    g = UserPrefGraph.from_store(two_user_store())
-    ops = user_pref_operators(g)
+    store = two_user_store()
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
     assert ops.observed_ids.size == 2
-    assert g.n_edges == 3
+    assert store.total == 3
     assert list(ops.pref_support) == [2.0, 1.0]
     assert list(ops.user_degrees) == [1.0, 2.0]
 
 
 def test_single_user_k_preferences():
     store = PreferenceStore.from_pairs(1, 5, [[(0, 1), (2, 3), (4, 0)]])
-    g = UserPrefGraph.from_store(store)
-    assert user_pref_operators(g).observed_ids.size == 3
-    assert g.n_edges == 3
+    assert user_pref_operators(UserPrefGraph.from_store(store)).observed_ids.size == 3
+    assert store.total == 3
 
 
 def test_store_roundtrip_and_equality():
     store = random_store(np.random.default_rng(0))
     g = UserPrefGraph.from_store(store)
-    again = UserPrefGraph.from_store(g.to_store())
-    assert g == again
-    assert g != UserPrefGraph(store.n_users, store.n_items)
-
-
-def test_add_preference_idempotent_and_conflicting():
-    g = UserPrefGraph(1, 3)
-    g.add_preference(0, (0, 1))
-    g.add_preference(0, (0, 1))
-    assert g.n_edges == 1
-    with pytest.raises(PreferenceConflictError):
-        g.add_preference(0, (1, 0))
-    with pytest.raises(ValueError):
-        g.add_preference(0, (1, 1))
-    with pytest.raises(ValueError):
-        g.add_preference(2, (0, 1))
+    assert g.to_store() is store
+    assert (g.n_users, g.n_items) == (store.n_users, store.n_items)
+    assert [g.user_degree(u) for u in range(g.n_users)] == list(np.diff(store.indptr))
 
 
 def test_degree_shows_up_in_operator():
-    g = UserPrefGraph(1, 5)
-    for pair in [(0, 1), (1, 2), (2, 3)]:
-        g.add_preference(0, pair)
-    assert g.user_degree(0) == 3
-    g.add_preference(0, (3, 4))
+    store = PreferenceStore.from_pairs(1, 5, [[(0, 1), (1, 2), (2, 3), (3, 4)]])
+    g = UserPrefGraph.from_store(store)
+    assert g.user_degree(0) == 4
     ops = user_pref_operators(g)
     col = ops.user_to_pref.matrix[:, 0].toarray().ravel()
     assert np.allclose(col[col > 0], 0.25)
-
-
-def test_add_user_and_item():
-    g = UserPrefGraph(0, 3)
-    assert g.add_user() == 0
-    assert g.n_edges == 0
-    g.add_preference(0, (0, 2))
-    assert universe_size(g.n_items) == 6
-    assert g.add_item() == 3
-    assert universe_size(g.n_items) == 12
-    # stored pairs survive the re-encoding
-    assert list(g.prefs_of(0)) == [encode_pair(0, 2, 4)]
-
-
-def test_replay_matches_bulk_build():
-    rng = np.random.default_rng(4)
-    store = random_store(rng, n_users=5, n_items=5)
-    bulk = UserPrefGraph.from_store(store)
-    replay = UserPrefGraph(0, store.n_items)
-    for u in range(store.n_users):
-        assert replay.add_user() == u
-    for u in range(store.n_users):
-        for pid in store.prefs_of(u):
-            w, l = int(pid) // store.n_items, int(pid) % store.n_items
-            replay.add_preference(u, (w, l))
-    assert bulk == replay
-
-
-def test_grow_items_matches_fresh_encoding():
-    store = PreferenceStore.from_pairs(2, 3, [[(0, 1)], [(2, 0), (2, 1)]])
-    g = UserPrefGraph.from_store(store)
-    g.add_item()
-    expected = PreferenceStore.from_pairs(2, 4, [[(0, 1)], [(2, 0), (2, 1)]])
-    assert g == UserPrefGraph.from_store(expected)
 
 
 def test_pref_to_user_column_halves():
@@ -130,7 +78,7 @@ def test_pair_id_sets_match_np_unique(seed):
     store = random_store(rng, n_users=int(rng.integers(1, 9)),
                          n_items=int(rng.integers(2, 8)), fill=float(rng.uniform(0.05, 0.9)))
     g = UserPrefGraph.from_store(store)
-    users, pids = g.edge_arrays()
+    users, pids = np.repeat(np.arange(store.n_users), np.diff(store.indptr)), store.pair_ids
     assert np.array_equal(store.observed_ids(), np.unique(pids))
     rep = connectivity_report(g)
     assert rep.n_active_users == np.unique(users).size
@@ -173,7 +121,7 @@ def test_user_space_matches_dense(seed):
 
 def test_empty_graph_rejected():
     with pytest.raises(EmptyGraphError):
-        user_pref_operators(UserPrefGraph(3, 3))
+        user_pref_operators(UserPrefGraph.from_store(PreferenceStore(3, 3, [0] * 4, [])))
 
 
 def test_pole_operator_shapes_small():
@@ -233,33 +181,5 @@ def test_connectivity_report():
     assert not rep.connected and rep.n_components == 2
     assert rep.n_isolated_users == 1
 
-    rep = connectivity_report(UserPrefGraph(2, 2))
+    rep = connectivity_report(UserPrefGraph.from_store(PreferenceStore(2, 2, [0] * 3, [])))
     assert not rep.connected and rep.n_components == 0
-
-
-def test_snapshot_roundtrip(tmp_path):
-    g = UserPrefGraph.from_store(random_store(np.random.default_rng(13)))
-    path = tmp_path / "graph.bin"
-    g.save(path)
-    assert UserPrefGraph.load(path) == g
-    # byte-determinism
-    other = tmp_path / "again.bin"
-    g.save(other)
-    assert path.read_bytes() == other.read_bytes()
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a snapshot at all")
-    with pytest.raises(ParseError):
-        UserPrefGraph.load(path)
-    g = UserPrefGraph.from_store(random_store(np.random.default_rng(1)))
-    good = tmp_path / "good.bin"
-    g.save(good)
-    blob = good.read_bytes()
-    path.write_bytes(blob[: len(blob) - 4])  # truncated edge list
-    with pytest.raises(ParseError):
-        UserPrefGraph.load(path)
-    path.write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(ParseError):
-        UserPrefGraph.load(path)

@@ -85,6 +85,10 @@ def test_derive_is_antisymmetric(seed):
 def test_from_pairs_conflict_rejected():
     with pytest.raises(PreferenceConflictError):
         PreferenceStore.from_pairs(1, 3, [[(0, 1), (1, 0)]])
+    with pytest.raises(PreferenceConflictError):
+        PreferenceStore.from_pairs(2, 3, [[(0, 1)], [(1, 0), (2, 1), (1, 2)]])
+    # different users may hold opposite orientations
+    assert PreferenceStore.from_pairs(2, 3, [[(0, 1)], [(1, 0)]]).total == 2
 
 
 def test_from_pairs_collapses_duplicates():

@@ -6,8 +6,6 @@ user, edges listed by sorting each set, and both operators built
 through COO.  Every array the CSR path produces must equal it exactly.
 """
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +13,8 @@ from scipy import sparse
 
 from helpers import random_ratings, random_store
 
-from prefwalk import (ParseError, PreferenceConflictError, PreferenceStore, UserPrefGraph,
-                      connectivity_report, derive_preferences, encode_pair, user_pref_operators)
+from prefwalk import (PreferenceStore, UserPrefGraph, connectivity_report, derive_preferences,
+                      encode_pair, user_pref_operators)
 from prefwalk.preferences import sorted_unique
 
 # -- the set-based oracle -------------------------------------------------------
@@ -111,11 +109,12 @@ def test_csr_path_matches_set_oracle(seed):
     sets = oracle_sets(store)
     g = UserPrefGraph.from_store(store)
     assert g.to_store() is store
-    users, pids = g.edge_arrays()
+    users = np.repeat(np.arange(store.n_users, dtype=np.int64), np.diff(store.indptr))
+    pids = store.pair_ids
     want_users, want_pids = oracle_edge_arrays(sets)
     assert same_array(users, want_users) and same_array(pids, want_pids)
     assert [g.user_degree(u) for u in range(g.n_users)] == [len(s) for s in sets]
-    assert g.n_edges == sum(len(s) for s in sets)
+    assert store.total == sum(len(s) for s in sets)
     rep = connectivity_report(g)
     assert (rep.connected, rep.n_components, rep.n_active_users,
             rep.n_isolated_users) == oracle_connectivity(sets)
@@ -131,22 +130,6 @@ def test_csr_path_matches_set_oracle(seed):
         assert got.format == "csr" and got.shape == want[name].shape
         for part in ("indptr", "indices", "data"):
             assert same_array(getattr(got, part), getattr(want[name], part)), (name, part)
-
-
-def test_mutations_never_write_the_shared_store():
-    store = PreferenceStore.from_pairs(3, 4, [[(0, 1)], [(2, 1), (3, 0)], []])
-    indptr, pids = store.indptr.copy(), store.pair_ids.copy()
-    g = UserPrefGraph.from_store(store)
-    g.add_preference(0, (3, 2))
-    g.add_preference(2, (1, 0))
-    assert g.add_user() == 3
-    assert g.add_item() == 4
-    g.add_preference(3, (0, 4))
-    assert np.array_equal(store.indptr, indptr) and np.array_equal(store.pair_ids, pids)
-    assert UserPrefGraph.from_store(store).n_edges == 3
-    expected = PreferenceStore.from_pairs(4, 5, [[(0, 1), (3, 2)], [(2, 1), (3, 0)],
-                                                 [(1, 0)], [(0, 4)]])
-    assert g == UserPrefGraph.from_store(expected)
 
 
 def test_edges_too_large_to_key_rejected():
@@ -173,64 +156,14 @@ def test_store_rejects_unsorted_or_repeated_ids():
             PreferenceStore(len(indptr) - 1, 3, indptr, ids)
 
 
-# -- snapshot load --------------------------------------------------------------
-
-
-def write_snapshot(path, n_users, n_items, edges):
-    edges = np.asarray(edges, dtype="<u4").reshape(-1, 2)
-    path.write_bytes(b"UPGS" + struct.pack("<IIII", 1, n_users, n_items, len(edges))
-                     + edges.tobytes())
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_load_roundtrip_in_any_edge_order(tmp_path_factory, seed):
+def test_from_edges_in_any_order(seed):
     _, store = random_source(seed)
-    g = UserPrefGraph.from_store(store)
-    path = tmp_path_factory.mktemp("snap") / "g.bin"
-    g.save(path)
-    assert UserPrefGraph.load(path) == g
-    users, pids = g.edge_arrays()
-    shuffled = np.random.default_rng(seed).permutation(users.size)
-    write_snapshot(path, g.n_users, g.n_items, np.column_stack([users, pids])[shuffled])
-    assert UserPrefGraph.load(path) == g
-
-
-def test_load_collapses_duplicate_edges(tmp_path):
-    path = tmp_path / "dup.bin"
-    n = 4
-    write_snapshot(path, 2, n, [(1, encode_pair(2, 3, n)), (0, encode_pair(0, 1, n)),
-                                (1, encode_pair(2, 3, n)), (1, encode_pair(0, 3, n))])
-    expected = UserPrefGraph(2, n)
-    for u, pair in ((1, (2, 3)), (0, (0, 1)), (1, (2, 3)), (1, (0, 3))):
-        expected.add_preference(u, pair)
-    loaded = UserPrefGraph.load(path)
-    assert loaded == expected and loaded.n_edges == 3
-
-
-def test_load_rejects_both_orientations(tmp_path):
-    path = tmp_path / "clash.bin"
-    n = 3
-    write_snapshot(path, 2, n, [(0, encode_pair(0, 1, n)), (1, encode_pair(1, 0, n)),
-                                (0, encode_pair(1, 0, n))])
-    with pytest.raises(PreferenceConflictError):
-        UserPrefGraph.load(path)
-    # the same two orientations held by different users are fine
-    write_snapshot(path, 2, n, [(0, encode_pair(0, 1, n)), (1, encode_pair(1, 0, n))])
-    assert UserPrefGraph.load(path).n_edges == 2
-
-
-@pytest.mark.parametrize("edge", [(2, 1), (0, 3 * 3), (0, 3 * 3 + 1), (0, 0), (1, 4)],
-                         ids=["user", "winner", "winner-high", "self-pair", "self-pair-1"])
-def test_load_rejects_bad_edges(tmp_path, edge):
-    path = tmp_path / "bad.bin"
-    write_snapshot(path, 2, 3, [(0, encode_pair(0, 1, 3)), edge])
-    with pytest.raises(ParseError, match="out of range"):
-        UserPrefGraph.load(path)
-
-
-def test_load_rejects_edges_without_items(tmp_path):
-    path = tmp_path / "noitems.bin"
-    write_snapshot(path, 1, 0, [(0, 0)])
-    with pytest.raises(ParseError):
-        UserPrefGraph.load(path)
+    users = np.repeat(np.arange(store.n_users), np.diff(store.indptr))
+    rng = np.random.default_rng(seed)
+    # every edge once and some twice, in random order
+    order = rng.permutation(np.r_[np.arange(users.size), rng.choice(users.size, users.size // 2)])
+    again = PreferenceStore.from_edges(store.n_users, store.n_items, users[order],
+                                       store.pair_ids[order])
+    assert again == store
