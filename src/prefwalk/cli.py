@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Four subcommands: split a ratings file into per-user train/test pairs,
-recommend items for one user, run the NDCG evaluation protocol, and
-print walk-coverage diagnostics.  Options resolve in three layers:
-command-line flags beat config-file entries beat built-in defaults.
-The config file is flat `key=value` lines ('#' starts a comment), with
-keys named like the long flags (underscores for dashes).
+recommend items for users, run the NDCG evaluation protocol, and
+print walk-coverage diagnostics.  Each option is declared once, in
+OPTIONS, and COMMANDS names the options each subcommand reads.  Options
+resolve in three layers: command-line flags beat config-file entries
+beat built-in defaults.  The config file is flat `key=value` lines ('#'
+starts a comment), with keys named like the long flags (underscores for
+dashes).
 
 Exit codes: 0 success, 1 usage errors (bad flags, bad config keys,
 out-of-range values, impossible requests), 2 data errors (unreadable or empty inputs),
@@ -15,6 +17,7 @@ out-of-range values, impossible requests), 2 data errors (unreadable or empty in
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .datasets import FORMAT_SEPS, SplitSpec, load_ratings, upl_split, write_ratings
 from .errors import ColdStartError, DataError, NumericalError, UsageError
@@ -23,21 +26,6 @@ from .graph import UserPrefGraph, user_pref_operators
 from .item_walk import ItemWalkConfig, exclusion_mask
 from .preferences import derive_preferences
 from .user_walk import UserWalkConfig
-
-DEFAULTS = {
-    "format": "tsv_umr",
-    "alpha": 0.15,
-    "beta": 0.15,
-    "tol": 1e-10,
-    "seed": 0,
-    "min_test": 10,
-    "repetitions": 5,
-    "top_k": 10,
-    "cutoffs": [1, 3, 5, 10],
-    "sample": None,
-    "upl": None,
-    "rep": 0,
-}
 
 
 def _int_list(text: str) -> list:
@@ -50,19 +38,21 @@ def _int_list(text: str) -> list:
     return values
 
 
-_KEY_PARSERS = {
-    "format": str,
-    "alpha": float,
-    "beta": float,
-    "tol": float,
-    "seed": int,
-    "min_test": int,
-    "repetitions": int,
-    "top_k": int,
-    "cutoffs": _int_list,
-    "sample": int,
-    "upl": _int_list,
-    "rep": int,
+# each option that is both a flag and a config key: key -> (parse, default,
+# least value or None, help); a least value bounds each entry of a list
+OPTIONS = {
+    "format": (str, "tsv_umr", None, "ratings layout: " + " or ".join(sorted(FORMAT_SEPS))),
+    "alpha": (float, 0.15, None, "first-walk restart probability"),
+    "beta": (float, 0.15, None, "second-walk restart probability"),
+    "tol": (float, 1e-10, None, "L1 tolerance below which a walk counts as converged"),
+    "seed": (int, 0, 0, "seed of the splits and of the user sample"),
+    "min_test": (int, 10, 0, "test ratings a kept user must have beyond its upl"),
+    "repetitions": (int, 5, 1, "seeded splits per upl"),
+    "top_k": (int, 10, 0, "items ranked per user"),
+    "cutoffs": (_int_list, [1, 3, 5, 10], 1, "NDCG cutoffs, comma-separated"),
+    "sample": (int, None, 0, "use only this many users (per repetition in evaluate)"),
+    "upl": (_int_list, None, 1, "train ratings per user, comma-separated (one for diagnose)"),
+    "rep": (int, 0, 0, "which repetition's split to diagnose"),
 }
 
 
@@ -77,83 +67,65 @@ def load_config(path) -> dict:
             raise UsageError(f"{path}, line {ln}: expected key=value, got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _KEY_PARSERS:
+        if key not in OPTIONS:
             raise UsageError(f"{path}, line {ln}: unknown key {key!r}")
         try:
-            values[key] = _KEY_PARSERS[key](val)
+            values[key] = OPTIONS[key][0](val)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"{path}, line {ln}: {exc}") from None
     return values
 
 
-# the least value each integer option accepts, each entry of a list alike
-_MINIMUMS = {
-    "seed": 0,
-    "min_test": 0,
-    "repetitions": 1,
-    "top_k": 0,
-    "cutoffs": 1,
-    "sample": 0,
-    "upl": 1,
-    "rep": 0,
-}
-
-
-def _resolve(args, config: dict, key: str):
-    """Flag if given, else config-file entry, else default; an integer
-    below its minimum is a usage error, wherever it came from."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key, DEFAULTS[key])
-    if key in _MINIMUMS and val is not None:
+def resolve_options(args, config: dict) -> dict:
+    """The arguments of args.command, each option it reads taken from its
+    flag if given, else the config file, else its default.  A missing
+    required value, a value below its least value, an unknown format and
+    walk settings the walks refuse are usage errors from either source."""
+    opts = dict(vars(args))
+    command = COMMANDS[args.command]
+    for key in command.options:
+        _, default, least, _ = OPTIONS[key]
+        val = opts[key] if opts[key] is not None else config.get(key, default)
+        if val is None and key in command.required:
+            raise UsageError(f"no {key} given: pass --{key} or set {key}= in the config")
         for v in val if isinstance(val, list) else [val]:
-            if v < _MINIMUMS[key]:
-                raise UsageError(f"{key.replace('_', '-')} must be at least "
-                                 f"{_MINIMUMS[key]}, got {v}")
-    return val
+            if least is not None and v is not None and v < least:
+                raise UsageError(f"{key.replace('_', '-')} must be at least {least}, got {v}")
+        opts[key] = val
+    if opts["format"] not in FORMAT_SEPS:
+        raise UsageError(f"unknown format {opts['format']!r}")
+    if "alpha" in command.options:
+        try:
+            opts["walk1"] = UserWalkConfig(alpha=opts["alpha"], tol=opts["tol"])
+            opts["walk2"] = ItemWalkConfig(beta=opts["beta"], tol=opts["tol"])
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+    return opts
 
 
-def _walk_configs(args, config):
-    try:
-        walk1 = UserWalkConfig(alpha=_resolve(args, config, "alpha"),
-                               tol=_resolve(args, config, "tol"))
-        walk2 = ItemWalkConfig(beta=_resolve(args, config, "beta"),
-                               tol=_resolve(args, config, "tol"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return walk1, walk2
+def _progress(opts):
+    return (lambda msg: print(msg, file=sys.stderr)) if opts["verbose"] else None
 
 
-def _load(args, config):
-    fmt = _resolve(args, config, "format")
-    if fmt not in FORMAT_SEPS:
-        raise UsageError(f"unknown format {fmt!r}")
-    return load_ratings(args.ratings, fmt), fmt
+def _report(report, out, name: str) -> None:
+    """Print the report's table and, given a directory, write its TSV there."""
+    print(report.format_table())
+    if out:
+        path = Path(out) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(report.to_tsv(), encoding="utf-8")
+        print(f"wrote {path}", file=sys.stderr)
 
 
-def _require_upls(args, config) -> list:
-    upls = _resolve(args, config, "upl")
-    if not upls:
-        raise UsageError("no profile size given: pass --upl or set upl= in the config")
-    return upls
-
-
-def _progress(args):
-    if args.verbose:
-        return lambda msg: print(msg, file=sys.stderr)
-    return None
-
-
-def cmd_split(args, config) -> int:
-    dataset, fmt = _load(args, config)
+def cmd_split(opts) -> int:
+    fmt, repetitions = opts["format"], opts["repetitions"]
+    dataset = load_ratings(opts["ratings"], fmt)
     ext = "tsv" if fmt == "tsv_umr" else "csv"
-    out = Path(args.out)
+    out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    repetitions = _resolve(args, config, "repetitions")
-    min_test = _resolve(args, config, "min_test")
-    seed = _resolve(args, config, "seed")
-    for upl in _require_upls(args, config):
-        spec = SplitSpec(upl, min_test=min_test, seed=seed, repetitions=repetitions)
+    for upl in opts["upl"]:
+        spec = SplitSpec(upl, min_test=opts["min_test"], seed=opts["seed"],
+                         repetitions=repetitions)
         for rep in range(repetitions):
             train, test, kept = upl_split(dataset, spec, rep)
             train_path = out / f"train_upl{upl}_rep{rep}.{ext}"
@@ -166,15 +138,13 @@ def cmd_split(args, config) -> int:
     return 0
 
 
-def cmd_recommend(args, config) -> int:
-    dataset, _ = _load(args, config)
-    walk1, walk2 = _walk_configs(args, config)
-    top_k = _resolve(args, config, "top_k")
+def cmd_recommend(opts) -> int:
+    dataset = load_ratings(opts["ratings"], opts["format"])
     ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(dataset)))
     # a user missing from the file stops the request there, after the
     # users before it are printed
     targets, missing = [], None
-    for raw_user in args.user:
+    for raw_user in opts["user"]:
         matches = (dataset.raw_user_ids == raw_user).nonzero()[0]
         if matches.size == 0:
             missing = raw_user
@@ -184,12 +154,13 @@ def cmd_recommend(args, config) -> int:
     # before the next is ranked, so memory stays flat in the list's length
     ranked = 0
     for lo in range(0, len(targets), EVAL_BLOCK):
-        users = list(zip(args.user[lo:lo + EVAL_BLOCK], targets[lo:lo + EVAL_BLOCK]))
+        users = list(zip(opts["user"][lo:lo + EVAL_BLOCK], targets[lo:lo + EVAL_BLOCK]))
         warm = [t for _, t in users if ops.user_degrees[t] > 0]
         if warm:
             rated = [dataset.user_rows(t)[0] for t in warm]
-            block = rank_block(ops, warm, top_k, exclusion_mask(dataset.n_items, rated),
-                               walk1, walk2)
+            block = rank_block(ops, warm, opts["top_k"],
+                               exclusion_mask(dataset.n_items, rated),
+                               opts["walk1"], opts["walk2"])
         col = 0  # the next warm user's column in the block
         for raw_user, target in users:
             if ops.user_degrees[target] == 0:
@@ -202,61 +173,78 @@ def cmd_recommend(args, config) -> int:
             col += 1
         ranked += len(warm)
     if missing is not None:
-        raise UsageError(f"user {missing} does not appear in {args.ratings}")
+        raise UsageError(f"user {missing} does not appear in {opts['ratings']}")
     if ranked == 0:
         raise ColdStartError("no requested user has any strict preference")
     return 0
 
 
-def cmd_evaluate(args, config) -> int:
-    dataset, _ = _load(args, config)
-    walk1, walk2 = _walk_configs(args, config)
+def cmd_evaluate(opts) -> int:
     report = run_evaluation(
-        dataset,
-        upls=_require_upls(args, config),
-        cutoffs=_resolve(args, config, "cutoffs"),
-        repetitions=_resolve(args, config, "repetitions"),
-        seed=_resolve(args, config, "seed"),
-        min_test=_resolve(args, config, "min_test"),
-        walk1=walk1, walk2=walk2,
-        user_sample=_resolve(args, config, "sample"),
-        progress=_progress(args),
+        load_ratings(opts["ratings"], opts["format"]),
+        upls=opts["upl"],
+        cutoffs=opts["cutoffs"],
+        repetitions=opts["repetitions"],
+        seed=opts["seed"],
+        min_test=opts["min_test"],
+        walk1=opts["walk1"], walk2=opts["walk2"],
+        user_sample=opts["sample"],
+        progress=_progress(opts),
     )
-    print(report.format_table())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ndcg_report.tsv").write_text(report.to_tsv(), encoding="utf-8")
-        print(f"wrote {out / 'ndcg_report.tsv'}", file=sys.stderr)
+    _report(report, opts["out"], "ndcg_report.tsv")
     return 0
 
 
-def cmd_diagnose(args, config) -> int:
-    upls = _resolve(args, config, "upl")
+def cmd_diagnose(opts) -> int:
+    upls = opts["upl"]
     if upls and len(upls) > 1:
         raise UsageError("diagnose takes one upl, got "
                          + ",".join(str(upl) for upl in upls))
-    dataset, _ = _load(args, config)
-    rep = _resolve(args, config, "rep")
+    dataset = load_ratings(opts["ratings"], opts["format"])
     if upls:
-        spec = SplitSpec(upls[0], min_test=_resolve(args, config, "min_test"),
-                         seed=_resolve(args, config, "seed"))
-        dataset, _, _ = upl_split(dataset, spec, rep)
-    walk1, walk2 = _walk_configs(args, config)
+        spec = SplitSpec(upls[0], min_test=opts["min_test"], seed=opts["seed"])
+        dataset, _, _ = upl_split(dataset, spec, opts["rep"])
     report = collect_diagnostics(
         UserPrefGraph.from_store(derive_preferences(dataset)),
-        sample=_resolve(args, config, "sample"),
-        seed=_resolve(args, config, "seed"),
-        walk1=walk1, walk2=walk2,
-        progress=_progress(args),
+        sample=opts["sample"],
+        seed=opts["seed"],
+        walk1=opts["walk1"], walk2=opts["walk2"],
+        progress=_progress(opts),
     )
-    print(report.format_table())
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "diagnostics.tsv").write_text(report.to_tsv(), encoding="utf-8")
-        print(f"wrote {out / 'diagnostics.tsv'}", file=sys.stderr)
+    _report(report, opts["out"], "diagnostics.tsv")
     return 0
+
+
+class Command(NamedTuple):
+    run: Callable[[dict], int]
+    help: str
+    options: tuple           # the OPTIONS keys it reads
+    flags: tuple = ()        # the _FLAGS it takes
+    required: tuple = ()     # the options and flags it cannot run without
+
+
+_WALK = ("alpha", "beta", "tol")
+
+COMMANDS = {
+    "split": Command(cmd_split, "write per-user train/test splits",
+                     ("format", "upl", "repetitions", "min_test", "seed"),
+                     ("out",), required=("upl", "out")),
+    "recommend": Command(cmd_recommend, "rank unseen items for users",
+                         ("format", *_WALK, "top_k"), ("user",), required=("user",)),
+    "evaluate": Command(cmd_evaluate, "NDCG protocol over splits",
+                        ("format", *_WALK, "upl", "cutoffs", "repetitions", "min_test",
+                         "seed", "sample"), ("out", "verbose"), required=("upl",)),
+    "diagnose": Command(cmd_diagnose, "walk coverage diagnostics",
+                        ("format", *_WALK, "upl", "rep", "min_test", "seed", "sample"),
+                        ("out", "verbose")),
+}
+
+# flags that are not config keys: name -> (flag strings, add_argument keywords)
+_FLAGS = {
+    "user": (("--user",), dict(type=_int_list, help="raw user ids from the file, comma-separated")),
+    "out": (("--out",), dict(help="output directory")),
+    "verbose": (("--verbose", "-v"), dict(action="store_true", help="progress lines on stderr")),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,76 +258,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="prefwalk",
                      description="Collaborative ranking from pairwise preferences.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in COMMANDS.items():
+        # no abbreviations: --rep is a diagnose option, not evaluate's --repetitions
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         p.add_argument("ratings", help="ratings file (user, item, rating per line)")
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--format", choices=sorted(FORMAT_SEPS))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--verbose", "-v", action="store_true")
-
-    def walk_flags(p):
-        p.add_argument("--alpha", type=float, help="first-walk restart probability")
-        p.add_argument("--beta", type=float, help="second-walk restart probability")
-        p.add_argument("--tol", type=float,
-                       help="L1 tolerance below which a walk counts as converged")
-
-    p = sub.add_parser("split", parents=[], help="write per-user train/test splits")
-    common(p)
-    p.add_argument("--upl", type=_int_list, help="train ratings per user, comma-separated")
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--min-test", dest="min_test", type=int)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("recommend", help="rank unseen items for users")
-    common(p)
-    walk_flags(p)
-    p.add_argument("--user", type=_int_list, required=True,
-                   help="raw user id(s) from the file, comma-separated")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.set_defaults(func=cmd_recommend)
-
-    p = sub.add_parser("evaluate", help="NDCG protocol over splits")
-    common(p)
-    walk_flags(p)
-    p.add_argument("--upl", type=_int_list)
-    p.add_argument("--cutoffs", type=_int_list)
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--min-test", dest="min_test", type=int)
-    p.add_argument("--sample", type=int, help="evaluate only this many users per rep")
-    p.add_argument("--out", help="directory for the machine-readable report")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("diagnose", help="walk coverage diagnostics")
-    common(p)
-    walk_flags(p)
-    p.add_argument("--upl", type=_int_list,
-                   help="split first, keeping this many train ratings per user (one "
-                        "value), and diagnose the train side")
-    p.add_argument("--rep", type=int, help="which repetition to diagnose")
-    p.add_argument("--min-test", dest="min_test", type=int)
-    p.add_argument("--sample", type=int, help="diagnose only this many users")
-    p.add_argument("--out", help="directory for the per-user report")
-    p.set_defaults(func=cmd_diagnose)
+        for key in command.options:
+            parse, _, _, text = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=parse, help=text)
+        for flag in command.flags:
+            names, kwargs = _FLAGS[flag]
+            p.add_argument(*names, required=flag in command.required, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
-    except UsageError as exc:
+        return COMMANDS[args.command].run(resolve_options(args, config))
+    except (UsageError, DataError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 1 if isinstance(exc, UsageError) else 3 if isinstance(exc, NumericalError) else 2
 
 
 if __name__ == "__main__":

@@ -33,8 +33,8 @@ class ItemWalkConfig:
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must be in (0, 1]")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

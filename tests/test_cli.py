@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from helpers import random_ratings
 
 from prefwalk import load_ratings, write_ratings
-from prefwalk.cli import load_config, main
+from prefwalk.cli import COMMANDS, OPTIONS, load_config, main
 from prefwalk.errors import NumericalError
 from prefwalk.evaluation import EVAL_BLOCK, rank_block
 from prefwalk.reference import dense_reference_ranking
@@ -194,6 +196,20 @@ def test_evaluate_writes_report(ratings_file, tmp_path, capsys):
     assert std_col == [0.0, 0.0]
 
 
+def test_verbose_writes_progress_to_stderr(ratings_file, capsys):
+    # one line per repetition from evaluate, one per sampled user from diagnose
+    for argv, starts in ((["evaluate", ratings_file, "--upl", "3", "--min-test", "2",
+                           "--repetitions", "2"], ["upl=3 rep=0: ", "upl=3 rep=1: "]),
+                         (["diagnose", ratings_file, "--sample", "3"], ["user "] * 3)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        code, out_v, err_v = run_cli(capsys, *argv, "-v")
+        assert code == 0 and out_v == out
+        lines = err_v.splitlines()
+        assert len(lines) == len(starts)
+        assert all(line.startswith(start) for line, start in zip(lines, starts))
+
+
 def test_diagnose_runs(ratings_file, tmp_path, capsys):
     out = tmp_path / "diag"
     code, stdout, _ = run_cli(capsys, "diagnose", ratings_file, "--sample", "3",
@@ -258,6 +274,16 @@ def test_config_parses_types(tmp_path):
     assert values == {"upl": [10, 20], "tol": 1e-8, "repetitions": 3, "format": "csv_umr"}
 
 
+def test_option_table_matches_readme_and_commands():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8").split())
+    start = readme.index("Keys match the long flags")
+    keys = re.findall(r"`(\w+)`", readme[start:readme.index("Precedence", start)])
+    assert sorted(keys) == sorted(OPTIONS)
+    read = {key for command in COMMANDS.values() for key in command.options}
+    assert read == set(OPTIONS)
+
+
 def test_missing_file_is_data_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "recommend", tmp_path / "absent.tsv", "--user", "1")
     assert code == 2
@@ -306,6 +332,10 @@ def test_invalid_alpha_is_usage_error(ratings_file, capsys):
     code, _, err = run_cli(capsys, "recommend", ratings_file, "--user", "1",
                            "--alpha", "2.0")
     assert code == 1 and "alpha" in err
+    # a tolerance must be a positive finite number, and NaN compares false
+    for tol in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "diagnose", ratings_file, "--tol", tol)
+        assert code == 1 and out == "" and "tol" in err
 
 
 @pytest.mark.parametrize("command, flags, key, value", [
@@ -319,9 +349,13 @@ def test_invalid_alpha_is_usage_error(ratings_file, capsys):
     ("diagnose", [], "upl", "0"),
     ("diagnose", ["--upl", "3"], "min-test", "-1"),
     ("recommend", ["--user", "1"], "top-k", "-1"),
+    ("diagnose", [], "min-test", "-1"),
+    ("split", ["--upl", "3", "--out", "splits"], "repetitions", "0"),
+    ("evaluate", [], "upl", "0"),
 ])
-def test_out_of_range_option_is_usage_error(ratings_file, tmp_path, capsys,
+def test_out_of_range_option_is_usage_error(ratings_file, tmp_path, capsys, monkeypatch,
                                             command, flags, key, value):
+    monkeypatch.chdir(tmp_path)  # a relative --out stays inside the test's directory
     code, out, err = run_cli(capsys, command, ratings_file, *flags, f"--{key}={value}")
     assert code == 1 and out == ""
     assert err.startswith(f"error: {key} must be at least") and err.count("\n") == 1
@@ -344,6 +378,16 @@ def test_bad_flags_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 1
+    # no abbreviations (--rep is diagnose's repetition, --top is not --top-k),
+    # and no flag that a command would not read
+    for argv in (["evaluate", "r.tsv", "--upl", "3", "--rep", "2"],
+                 ["recommend", "r.tsv", "--user", "1", "--top", "3"],
+                 ["recommend", "r.tsv", "--user", "1", "--seed", "-1"],
+                 ["recommend", "r.tsv", "--user", "1", "--verbose"],
+                 ["split", "r.tsv", "--upl", "3", "--out", "s", "-v"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
 
 
 def test_missing_upl_is_usage_error(ratings_file, tmp_path, capsys):

@@ -21,6 +21,9 @@ def test_config_validation():
         ItemWalkConfig(beta=0.0)
     with pytest.raises(ValueError):
         ItemWalkConfig(tol=-1.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ItemWalkConfig(tol=tol)
     with pytest.raises(ValueError):
         ItemWalkConfig(max_iter=0)
 

@@ -30,6 +30,9 @@ def test_config_validation():
         UserWalkConfig(alpha=1.5)
     with pytest.raises(ValueError):
         UserWalkConfig(tol=0.0)
+    for tol in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            UserWalkConfig(tol=tol)
     with pytest.raises(ValueError):
         UserWalkConfig(max_iter=0)
 
