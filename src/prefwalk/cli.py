@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .datasets import FORMAT_SEPS, SplitSpec, load_ratings, upl_split, write_ratings
+from .datasets import FORMAT_SEPS, SplitSpec, check_split, load_ratings, upl_split, write_ratings
 from .errors import ColdStartError, DataError, NumericalError, UsageError
 from .evaluation import EVAL_BLOCK, collect_diagnostics, rank_block, run_evaluation
 from .graph import UserPrefGraph, user_pref_operators
@@ -121,18 +121,20 @@ def cmd_split(opts) -> int:
     fmt, repetitions = opts["format"], opts["repetitions"]
     dataset = load_ratings(opts["ratings"], fmt)
     ext = "tsv" if fmt == "tsv_umr" else "csv"
+    specs = [SplitSpec(upl, min_test=opts["min_test"], seed=opts["seed"],
+                       repetitions=repetitions) for upl in opts["upl"]]
+    for spec in specs:  # an impossible upl fails before any file is written
+        check_split(dataset, spec)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    for upl in opts["upl"]:
-        spec = SplitSpec(upl, min_test=opts["min_test"], seed=opts["seed"],
-                         repetitions=repetitions)
+    for spec in specs:
         for rep in range(repetitions):
             train, test, kept = upl_split(dataset, spec, rep)
-            train_path = out / f"train_upl{upl}_rep{rep}.{ext}"
-            test_path = out / f"test_upl{upl}_rep{rep}.{ext}"
+            train_path = out / f"train_upl{spec.upl}_rep{rep}.{ext}"
+            test_path = out / f"test_upl{spec.upl}_rep{rep}.{ext}"
             write_ratings(train, train_path, fmt)
             write_ratings(test, test_path, fmt)
-            print(f"upl={upl} rep={rep}: kept {kept.size} users, "
+            print(f"upl={spec.upl} rep={rep}: kept {kept.size} users, "
                   f"{train.n_ratings} train / {test.n_ratings} test ratings "
                   f"-> {train_path.name}, {test_path.name}")
     return 0

@@ -152,12 +152,21 @@ class SplitSpec:
             raise ValueError("repetitions must be >= 1")
 
 
+def check_split(dataset: RatingsDataset, spec: SplitSpec) -> None:
+    """Raise EmptySplitError unless `upl_split` would keep some user."""
+    need = spec.upl + spec.min_test
+    if not np.any(dataset.profile_sizes() >= need):
+        raise EmptySplitError(f"no user has >= {need} ratings (upl={spec.upl}, "
+                              f"min_test={spec.min_test})")
+
+
 def upl_split(dataset: RatingsDataset, spec: SplitSpec, rep: int = 0):
     """One train/test split.  Returns (train, test, kept_users).
 
     Sampling is uniform without replacement, seeded from (spec.seed,
     spec.upl, rep) so every repetition is reproducible in isolation.
     """
+    check_split(dataset, spec)
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, spec.upl, rep]))
     order, starts = dataset._user_index
     train_mask = np.zeros(dataset.n_ratings, dtype=bool)
@@ -173,9 +182,4 @@ def upl_split(dataset: RatingsDataset, spec: SplitSpec, rep: int = 0):
         train_mask[rows[chosen]] = True
         test_mask[rows[~chosen]] = True
         kept.append(u)
-    if not kept:
-        raise EmptySplitError(
-            f"no user has >= {spec.upl + spec.min_test} ratings (upl={spec.upl}, "
-            f"min_test={spec.min_test})"
-        )
     return dataset.subset(train_mask), dataset.subset(test_mask), np.array(kept, dtype=np.int64)

@@ -65,9 +65,9 @@ class RankOutcome:
     @cached_property
     def second(self) -> ItemWalkResult:
         """Walk 2's full state, built on first read from the concordances."""
-        ops, pole_to_pref, pref_to_pole, walk2 = self._walk2
+        ops, walk2 = self._walk2
         restart = build_restart(self.first.concordances, ops.observed_ids, ops.n_items)
-        return solve_item_walk(pole_to_pref, pref_to_pole, restart, walk2)
+        return solve_item_walk(restart, walk2)
 
 
 @dataclass(eq=False)
@@ -97,14 +97,14 @@ def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
                         walk1: UserWalkConfig | None = None,
                         walk2: ItemWalkConfig | None = None) -> RankOutcome:
     """Solve both walks exactly for one user and rank their unseen items:
-    `rank_block` for a block of one.  The pole operators are read only
-    when `second` is."""
+    `rank_block` for a block of one.  Of the pole operators, only their
+    item count is read."""
     check_pole_operators(pole_to_pref, pref_to_pole, ops.n_items)
     block = rank_block(ops, [target], k, exclusion_mask(ops.n_items, [exclude]),
                        walk1, walk2)
     scored = ScoredItems(block.scored.scores[:, 0], block.scored.defined[:, 0])
     return RankOutcome(block.items[0, :block.counts[0]], scored, block.first.result(0),
-                       (ops, pole_to_pref, pref_to_pole, walk2))
+                       (ops, walk2))
 
 
 def ndcg_at_k(recommended, test_ratings: dict, k: int) -> float:

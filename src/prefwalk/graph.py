@@ -67,9 +67,6 @@ class StochasticOperator:
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.matrix @ vec
 
-    def column_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=0)).ravel()
-
 
 class DenseLU:
     """LU factor of a square Fortran-ordered matrix, which it overwrites,
@@ -100,9 +97,10 @@ class UserPrefOperators:
     user_degrees: np.ndarray     # preferences per user
     pref_to_user: StochasticOperator  # (n_users x P), columns sum to 1
     user_to_pref: StochasticOperator  # (P x n_users), non-empty columns sum to 1
-    pref_col_indptr: np.ndarray  # user -> slice into pref_col_indices
-    pref_col_indices: np.ndarray  # column index of each of the user's prefs
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # L's own arrays: user -> slice of pref_col_indices, the column of each preference
+    pref_col_indptr = property(lambda self: self.pref_to_user.matrix.indptr)
+    pref_col_indices = property(lambda self: self.pref_to_user.matrix.indices)
 
     def pref_columns(self, user: int) -> np.ndarray:
         """Column indices (into observed_ids) of one user's preferences."""
@@ -196,7 +194,7 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
     return UserPrefOperators(
         n_users=g.n_users, n_items=g.n_items, observed_ids=observed, pref_support=support,
         user_degrees=degrees, pref_to_user=StochasticOperator(to_user),
-        user_to_pref=StochasticOperator(to_pref), pref_col_indptr=indptr, pref_col_indices=cols)
+        user_to_pref=StochasticOperator(to_pref))
 
 
 @dataclass

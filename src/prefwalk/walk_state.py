@@ -10,9 +10,10 @@ The second walk runs on a preference/pole graph that is never stored:
     pole_mass' = (1 - beta) * pref_to_pole(pref_mass)
 
 where preference (w, l), over the full universe of ordered pairs,
-joins w's win pole (index w) and l's loss pole (index n_items + l).
-pole_to_pref output has the form a[winner] + b[loser] (+ restart), so
-the walk carries its state as (a, b), a restart coefficient and a
+joins w's win pole (index w) and l's loss pole (index n_items + l),
+taking 1/(n_items - 1) of each one's mass and giving each half of its
+own.  pole_to_pref output has the form a[winner] + b[loser] (+ restart),
+so the walk carries its state as (a, b), a restart coefficient and a
 constant: one sweep is O(n_items), and its exact L1 change over the
 universe takes one sort and a prefix sum.  The dense mass per pair is
 built only when read.
@@ -76,45 +77,9 @@ class _PoleOperator:
         self.n_items = n_items
 
 
-class PoleToPrefOperator(_PoleOperator):
-    """Spread pole mass over the full preference universe.
-
-    Preference (w, l) draws 1/(n_items - 1) of w's win-pole mass and
-    1/(n_items - 1) of l's loss-pole mass.  Output is a flat length
-    n_items**2 vector indexed by pair id, zero on the diagonal.
-    """
-
-    def apply(self, pole_mass: np.ndarray) -> np.ndarray:
-        n = self.n_items
-        win, loss = pole_mass[:n], pole_mass[n:]
-        h = (win[:, None] + loss[None, :]) / (n - 1)
-        h.flat[:: n + 1] = 0.0
-        return h.ravel()
-
-    def column_sums(self) -> np.ndarray:
-        return np.ones(2 * self.n_items)
-
-
-class PrefToPoleOperator(_PoleOperator):
-    """Collapse preference mass onto poles: half to the winner's win
-    pole, half to the loser's loss pole."""
-
-    def apply(self, pref_mass: np.ndarray) -> np.ndarray:
-        n = self.n_items
-        h = pref_mass.reshape(n, n)
-        return 0.5 * np.concatenate([h.sum(axis=1) - h.diagonal(),
-                                     h.sum(axis=0) - h.diagonal()])
-
-    def column_sums(self) -> np.ndarray:
-        n = self.n_items
-        sums = np.ones(n * n)
-        sums[:: n + 1] = 0.0  # diagonal pair ids are structurally absent
-        return sums
-
-
 def item_pole_operators(n_items: int):
-    """Both transition operators of the preference/pole graph."""
-    return PoleToPrefOperator(n_items), PrefToPoleOperator(n_items)
+    """Both transitions of the preference/pole graph, as their item count."""
+    return _PoleOperator(n_items), _PoleOperator(n_items)
 
 
 class RestartVector:
@@ -154,10 +119,9 @@ class ItemWalkResult:
     iterations: int
     residual: float
     converged: bool
-    # pref_mass(w, l) = _outer_a[w] + _outer_b[l] + _bias + _restart_rate * q(w, l)
+    # pref_mass(w, l) = _outer_a[w] + _outer_b[l] + _restart_rate * q(w, l)
     _outer_a: np.ndarray
     _outer_b: np.ndarray
-    _bias: float
     _restart_rate: float
     _restart: RestartVector
 
@@ -175,7 +139,6 @@ class ItemWalkResult:
         ids (diagonal entries zero).  O(n_items**2) memory."""
         n = self.n_items
         h = np.add.outer(self._outer_a, self._outer_b)
-        h += self._bias
         h.flat[:: n + 1] = 0.0
         h = h.ravel()
         if self._restart_rate != 0.0:
@@ -230,12 +193,13 @@ def _item_sweep(a, b, bias: float, rate: float, win, loss, restart: RestartVecto
     return a_next, b_next, win_next, loss_next, residual
 
 
-def _result(restart: RestartVector, a, b, bias: float, rate: float, win, loss,
+def _result(restart: RestartVector, a, b, rate: float, win, loss,
             iterations: int, residual: float, converged: bool) -> ItemWalkResult:
-    """Renormalize a structured state to unit joint mass."""
+    """Renormalize a structured state to unit joint mass.  Its bias is 0:
+    the closed form has none, and the iterate's first sweep clears it."""
     _check_finite("item walk", a, b, win, loss)
     n = restart.n_items
-    pref_total = (n - 1) * (a.sum() + b.sum()) + universe_size(n) * bias + rate
+    pref_total = (n - 1) * (a.sum() + b.sum()) + rate
     mass = pref_total + win.sum() + loss.sum()
     return ItemWalkResult(
         n_items=n,
@@ -245,17 +209,15 @@ def _result(restart: RestartVector, a, b, bias: float, rate: float, win, loss,
         converged=converged,
         _outer_a=a / mass,
         _outer_b=b / mass,
-        _bias=bias / mass,
         _restart_rate=rate / mass,
         _restart=restart,
     )
 
 
-def solve_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
-                    config: ItemWalkConfig | None = None) -> ItemWalkResult:
+def solve_item_walk(restart: RestartVector, config: ItemWalkConfig | None = None) -> ItemWalkResult:
     """The walk's fixed point in closed form (see the module docstring)."""
     cfg = config or ItemWalkConfig()
-    n = check_pole_operators(pole_to_pref, pref_to_pole, restart.n_items)
+    n = restart.n_items
     beta, keep = cfg.beta, 1.0 - cfg.beta
     c = keep * keep / 2.0
     g = c / (n - 1)
@@ -269,7 +231,7 @@ def solve_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
     loss = np.maximum(0.5 * (both - diff), 0.0)
     a, b = keep / (n - 1) * win, keep / (n - 1) * loss
     residual = _item_sweep(a, b, 0.0, beta, win, loss, restart, beta)[-1]
-    return _result(restart, a, b, 0.0, beta, win, loss, 0, residual, residual < cfg.tol)
+    return _result(restart, a, b, beta, win, loss, 0, residual, residual < cfg.tol)
 
 
 def run_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
@@ -292,7 +254,7 @@ def run_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
         if residual < cfg.tol:
             converged = True
             break
-    return _result(restart, a, b, bias, rate, win, loss, iterations, residual, converged)
+    return _result(restart, a, b, rate, win, loss, iterations, residual, converged)
 
 
 def score_items(result: ItemWalkResult) -> ScoredItems:

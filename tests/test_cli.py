@@ -61,6 +61,13 @@ def test_split_impossible_upl_is_data_error(ratings_file, tmp_path, capsys):
                            "--out", tmp_path / "x")
     assert code == 2
     assert "error" in err
+    # a possible upl before the impossible one writes nothing either
+    out = tmp_path / "y"
+    code, stdout, err = run_cli(capsys, "split", ratings_file, "--upl", "3,500",
+                                "--min-test", "2", "--out", out)
+    assert code == 2
+    assert "no user has >= 502 ratings" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_recommend_output_shape(ratings_file, capsys):

@@ -132,17 +132,15 @@ def test_rank_builds_second_only_on_first_read(monkeypatch):
 
     for fn in (build_restart, solve_item_walk):
         monkeypatch.setattr(evaluation, fn.__name__, counted(fn))
-    w_op, t_op = item_pole_operators(store.n_items)
-    w_op.apply = t_op.apply = lambda _: pytest.fail("pole operator applied")
     target = first_warm_user(store)
-    outcome = rank_items_for_user(ops, w_op, t_op, target, k=3)
+    outcome = rank_items_for_user(ops, *item_pole_operators(store.n_items), target, k=3)
     assert calls == [] and "second" not in vars(outcome)
     second = outcome.second
     assert calls == ["build_restart", "solve_item_walk"]
     assert outcome.second is second and len(calls) == 2
     q = build_restart(solve_user_walk(ops, target).concordances, ops.observed_ids,
                       store.n_items)
-    assert np.array_equal(second.pole_mass, solve_item_walk(w_op, t_op, q).pole_mass)
+    assert np.array_equal(second.pole_mass, solve_item_walk(q).pole_mass)
 
 
 def test_rank_rejects_mismatched_pole_operators():
@@ -184,7 +182,7 @@ def _warm_instance(seed):
         rng.uniform(0.05, 1.0))
 
 
-def _p_space_walks(ops, w_op, t_op, target, alpha, beta):
+def _p_space_walks(ops, target, alpha, beta):
     """Both walks through vectors over the observed preferences: the
     restart, one solve against the same factor, the concordances, then
     the item walk's restart from them."""
@@ -194,7 +192,7 @@ def _p_space_walks(ops, w_op, t_op, target, alpha, beta):
     con = keep * ops.user_to_pref.apply(sim) + jump
     mass = sim.sum() + con.sum()
     q = build_restart(con / mass, ops.observed_ids, ops.n_items)
-    return sim / mass, con / mass, solve_item_walk(w_op, t_op, q, ItemWalkConfig(beta=beta))
+    return sim / mass, con / mass, solve_item_walk(q, ItemWalkConfig(beta=beta))
 
 
 @settings(deadline=None, max_examples=60)
@@ -240,7 +238,7 @@ def test_scores_match_p_space_pipeline(seed):
     w_op, t_op = item_pole_operators(n)
     out = rank_items_for_user(ops, w_op, t_op, target, k=n,
                               walk1=UserWalkConfig(alpha=alpha), walk2=ItemWalkConfig(beta=beta))
-    sim, con, second = _p_space_walks(ops, w_op, t_op, target, alpha, beta)
+    sim, con, second = _p_space_walks(ops, target, alpha, beta)
     scored = score_items(second)
     assert np.abs(out.first.similarities - sim).max() <= 1e-14
     assert np.abs(out.first.concordances - con).max() <= 1e-14

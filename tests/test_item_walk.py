@@ -173,13 +173,12 @@ def test_mass_conservation(seed):
 
 
 def test_operator_mismatch_rejected():
-    w_op, _ = item_pole_operators(3)
-    _, t_op = item_pole_operators(4)
+    # the walk reads the pole operators' item count, and only that
+    (w3, t3), (w4, t4) = item_pole_operators(3), item_pole_operators(4)
     q = make_restart(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        run_item_walk(w_op, t_op, q)
-    with pytest.raises(ValueError):
-        solve_item_walk(w_op, t_op, q)
+    for poles in ((w3, t4), (w4, t3), (w4, t4)):
+        with pytest.raises(ValueError):
+            run_item_walk(*poles, q)
 
 
 def fake_result(win, loss):
@@ -188,7 +187,7 @@ def fake_result(win, loss):
     return ItemWalkResult(
         n_items=n, pole_mass=np.concatenate([win, loss]), iterations=1,
         residual=0.0, converged=True, _outer_a=np.zeros(n), _outer_b=np.zeros(n),
-        _bias=0.0, _restart_rate=0.0, _restart=q)
+        _restart_rate=0.0, _restart=q)
 
 
 def test_score_arithmetic():
@@ -264,7 +263,7 @@ def test_closed_form_matches_converged_iterate(seed, beta):
     n = int(rng.integers(2, 9))
     w_op, t_op = item_pole_operators(n)
     q = random_restart(rng, n)
-    exact = solve_item_walk(w_op, t_op, q, ItemWalkConfig(beta=beta))
+    exact = solve_item_walk(q, ItemWalkConfig(beta=beta))
     it = run_item_walk(w_op, t_op, q, ItemWalkConfig(beta=beta, tol=1e-14, max_iter=5000))
     assert it.converged
     assert np.abs(exact.pole_mass - it.pole_mass).max() <= 1e-11
@@ -280,9 +279,8 @@ def test_closed_form_matches_converged_iterate(seed, beta):
 def test_closed_form_beta_one_returns_restart(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 8))
-    w_op, t_op = item_pole_operators(n)
     q = random_restart(rng, n)
-    res = solve_item_walk(w_op, t_op, q, ItemWalkConfig(beta=1.0))
+    res = solve_item_walk(q, ItemWalkConfig(beta=1.0))
     assert res.converged
     assert np.all(res.pole_mass == 0.0)
     expected = np.zeros(n * n)
@@ -306,7 +304,7 @@ def test_item_scores_match_walk_state(seed, beta):
     q = random_restart(rng, n)
     cfg = ItemWalkConfig(beta=beta)
     got = item_scores(restart_poles(q), cfg)
-    full = score_items(solve_item_walk(*item_pole_operators(n), q, cfg))
+    full = score_items(solve_item_walk(q, cfg))
     assert got.defined.all() and full.defined.all()
     assert np.abs(got.scores - full.scores).max() <= 1e-15
     assert np.all((got.scores >= 0.0) & (got.scores <= 1.0))
@@ -324,7 +322,7 @@ def test_item_scores_beta_one(seed):
     q = random_restart(rng, n)
     cfg = ItemWalkConfig(beta=1.0)
     got = item_scores(restart_poles(q), cfg)
-    full = score_items(solve_item_walk(*item_pole_operators(n), q, cfg))
+    full = score_items(solve_item_walk(q, cfg))
     for scored in (got, full):
         assert np.all(scored.scores == 0.0) and not scored.defined.any()
 

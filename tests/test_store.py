@@ -122,9 +122,14 @@ def test_csr_path_matches_set_oracle(seed):
         return
     ops, want = user_pref_operators(g), oracle_operators(sets)
     assert same_array(store.observed_ids(), want["observed_ids"])
-    for name in ("observed_ids", "pref_support", "user_degrees", "pref_col_indptr",
-                 "pref_col_indices"):
+    for name in ("observed_ids", "pref_support", "user_degrees"):
         assert same_array(getattr(ops, name), want[name]), name
+    # the column map is L's own indptr and indices: the oracle's values, L's dtype
+    to_user = ops.pref_to_user.matrix
+    for name, own in (("pref_col_indptr", to_user.indptr), ("pref_col_indices", to_user.indices)):
+        got = getattr(ops, name)
+        assert np.shares_memory(got, own) and got.dtype == own.dtype, name
+        assert np.array_equal(got, want[name]), name
     for name in ("pref_to_user", "user_to_pref"):
         got = getattr(ops, name).matrix
         assert got.format == "csr" and got.shape == want[name].shape
