@@ -59,7 +59,11 @@ OPTIONS = {
 def load_config(path) -> dict:
     """Parse a flat key=value config file into typed values."""
     values = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise UsageError(f"{path}: not UTF-8 text") from None
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -95,9 +99,10 @@ def resolve_options(args, config: dict) -> dict:
     if opts["format"] not in FORMAT_SEPS:
         raise UsageError(f"unknown format {opts['format']!r}")
     if "alpha" in command.options:
+        tol = {"tol": opts["tol"]} if "tol" in command.options else {}
         try:
-            opts["walk1"] = UserWalkConfig(alpha=opts["alpha"], tol=opts["tol"])
-            opts["walk2"] = ItemWalkConfig(beta=opts["beta"], tol=opts["tol"])
+            opts["walk1"] = UserWalkConfig(alpha=opts["alpha"], **tol)
+            opts["walk2"] = ItemWalkConfig(beta=opts["beta"], **tol)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     return opts
@@ -232,7 +237,7 @@ COMMANDS = {
                      ("format", "upl", "repetitions", "min_test", "seed"),
                      ("out",), required=("upl", "out")),
     "recommend": Command(cmd_recommend, "rank unseen items for users",
-                         ("format", *_WALK, "top_k"), ("user",), required=("user",)),
+                         ("format", "alpha", "beta", "top_k"), ("user",), required=("user",)),
     "evaluate": Command(cmd_evaluate, "NDCG protocol over splits",
                         ("format", *_WALK, "upl", "cutoffs", "repetitions", "min_test",
                          "seed", "sample"), ("out", "verbose"), required=("upl",)),

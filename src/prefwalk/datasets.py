@@ -5,7 +5,8 @@ optionally followed by extra columns (e.g. a timestamp) which are
 ignored.  Raw user/item ids are arbitrary integers; they are mapped to
 dense 0-based ids in order of first appearance so graph code can use
 them as array indices.  Duplicate (user, item) lines keep the last
-rating seen.  Ratings must be finite numbers.
+rating seen.  Ratings must be finite numbers.  Ids and ratings are
+plain ASCII numbers: no `_` separators, no non-ASCII digits.
 """
 
 import io
@@ -76,6 +77,9 @@ def _parse_stream(stream, sep: str, name: str) -> RatingsDataset:
         parts = line.split(sep)
         if len(parts) < 3:
             raise ParseError(f"{name}, line {ln}: expected at least 3 fields, got {len(parts)}")
+        if ("_" in line or not line.isascii()) and any(
+                "_" in f or not f.isascii() for f in parts[:3]):  # int() reads 1_0 as 10
+            raise ParseError(f"{name}, line {ln}: ids and ratings must be plain ASCII numbers")
         try:
             u, i, r = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
@@ -112,7 +116,10 @@ def load_ratings(path, fmt: str = "tsv_umr") -> RatingsDataset:
     """Parse a ratings file.  fmt is one of 'tsv_umr' or 'csv_umr'."""
     sep = _separator(fmt)
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_stream(fh, sep, str(path))
+        try:
+            return _parse_stream(fh, sep, str(path))
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 def loads_ratings(text: str, fmt: str = "tsv_umr") -> RatingsDataset:

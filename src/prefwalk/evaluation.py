@@ -5,9 +5,9 @@ LU factor (dense where the user coupling is dense, else sparse) and
 user-space matrices that the graph's operators build once and keep,
 projected straight onto the item poles; the second by one score formula
 on those pole marginals.  Neither depends on max_iter, and per user
-the work is O(n_users + n_items) beside the solve: no vector over
-preferences or pairs is built unless diagnostics read the concordances
-or `RankOutcome.second`, walk 2's full state.
+the work is O(n_users + n_items) beside the solve: ranking builds no
+vector over preferences or pairs and computes no residual.  Diagnostics
+take both walks' full state from `solve_user_walk` and `solve_item_walk`.
 It runs on blocks of users (`rank_block`): one solve with a column per
 user, the score formula along those columns, and a row-wise top-k.
 `rank_items_for_user` is the block of one, and gives each user the
@@ -38,7 +38,6 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -47,9 +46,8 @@ from .datasets import RatingsDataset, SplitSpec, upl_split
 from .graph import UserPrefGraph, UserPrefOperators, connectivity_report, user_pref_operators
 from .item_walk import ItemWalkConfig, ScoredItems, exclusion_mask, item_scores, topk_rows
 from .preferences import derive_preferences, universe_size
-from .user_walk import UserWalkBlock, UserWalkConfig, UserWalkResult, solve_user_walks
-from .walk_state import (ItemWalkResult, build_restart, check_pole_operators,
-                         item_pole_operators, solve_item_walk)
+from .user_walk import UserWalkConfig, solve_user_walk, solve_user_walks
+from .walk_state import build_restart, check_pole_operators, solve_item_walk
 
 NONZERO_EPS = 1e-15
 LEVEL_DIGITS = 12
@@ -59,23 +57,13 @@ LEVEL_DIGITS = 12
 class RankOutcome:
     items: np.ndarray
     scored: ScoredItems
-    first: UserWalkResult
-    _walk2: tuple = field(repr=False, compare=False)  # what `second` is built from
-
-    @cached_property
-    def second(self) -> ItemWalkResult:
-        """Walk 2's full state, built on first read from the concordances."""
-        ops, walk2 = self._walk2
-        restart = build_restart(self.first.concordances, ops.observed_ids, ops.n_items)
-        return solve_item_walk(restart, walk2)
 
 
 @dataclass(eq=False)
 class RankedBlock:
-    """Both walks and the top-k for a block of users, one column (of the
-    walk and score arrays) or row (of `items`) per user."""
+    """The scores and top-k for a block of users, one column (of the
+    scores) or row (of `items`) per user."""
 
-    first: UserWalkBlock
     scored: ScoredItems  # n_items x m
     items: np.ndarray    # m x min(k, n_items); row r's ranking is its first counts[r]
     counts: np.ndarray
@@ -86,10 +74,9 @@ def rank_block(ops: UserPrefOperators, targets, k: int, excluded: np.ndarray,
                walk2: ItemWalkConfig | None = None) -> RankedBlock:
     """Solve both walks exactly for a block of warm users and rank their
     items, leaving out those marked in the (m x n_items) excluded mask."""
-    first = solve_user_walks(ops, targets, walk1)
-    scored = item_scores(first.concordance_poles, walk2)
+    scored = item_scores(solve_user_walks(ops, targets, walk1).concordance_poles, walk2)
     items, counts = topk_rows(scored.scores.T, k, excluded)
-    return RankedBlock(first, scored, items, counts)
+    return RankedBlock(scored, items, counts)
 
 
 def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
@@ -103,8 +90,7 @@ def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
     block = rank_block(ops, [target], k, exclusion_mask(ops.n_items, [exclude]),
                        walk1, walk2)
     scored = ScoredItems(block.scored.scores[:, 0], block.scored.defined[:, 0])
-    return RankOutcome(block.items[0, :block.counts[0]], scored, block.first.result(0),
-                       (ops, walk2))
+    return RankOutcome(block.items[0, :block.counts[0]], scored)
 
 
 def ndcg_at_k(recommended, test_ratings: dict, k: int) -> float:
@@ -470,7 +456,6 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
         raise ValueError(f"sample must be at least 0, got {sample}")
     conn = connectivity_report(graph)
     ops = user_pref_operators(graph)
-    w_op, t_op = item_pole_operators(graph.n_items)
     uni = universe_size(graph.n_items)
     report = DiagnosticsReport(
         n_users=graph.n_users, n_items=graph.n_items,
@@ -486,18 +471,17 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         users = np.sort(rng.choice(users, size=sample, replace=False))
     for u in users:
-        outcome = rank_items_for_user(ops, w_op, t_op, int(u), k=0,
-                                      walk1=walk1, walk2=walk2)
-        sims = outcome.first.similarities
+        first = solve_user_walk(ops, int(u), walk1)
         others = active[active != int(u)]
-        sim_vals = sims[others] if others.size else np.empty(0)
-        conc = outcome.first.concordances
+        sim_vals = first.similarities[others]
+        conc = first.concordances
         conc_vals = conc[conc > NONZERO_EPS]
         conc_vals.sort()
+        second = solve_item_walk(build_restart(conc, ops.observed_ids, ops.n_items), walk2)
         # the n_items**2 pair masses are this loop's own, so they are
         # sorted in place, with no filtered copy, and counted from the
         # first value above NONZERO_EPS
-        pref = outcome.second.pref_mass
+        pref = second.pref_mass
         pref.sort()
         pref_vals = pref[np.searchsorted(pref, NONZERO_EPS, side="right"):]
         report.users.append(UserDiagnostics(
@@ -508,10 +492,10 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
             concordance_levels=_count_levels(conc_vals),
             pref_mass_fraction=pref_vals.size / uni,
             pref_mass_levels=_count_levels(pref_vals),
-            first_iterations=outcome.first.iterations,
-            first_converged=outcome.first.converged,
-            second_iterations=outcome.second.iterations,
-            second_converged=outcome.second.converged,
+            first_iterations=first.iterations,
+            first_converged=first.converged,
+            second_iterations=second.iterations,
+            second_converged=second.converged,
         ))
         if progress:
             progress(f"user {u}: sim {report.users[-1].similarity_fraction:.3f}, "

@@ -102,10 +102,6 @@ class UserPrefOperators:
     pref_col_indptr = property(lambda self: self.pref_to_user.matrix.indptr)
     pref_col_indices = property(lambda self: self.pref_to_user.matrix.indices)
 
-    def pref_columns(self, user: int) -> np.ndarray:
-        """Column indices (into observed_ids) of one user's preferences."""
-        return self.pref_col_indices[self.pref_col_indptr[user]:self.pref_col_indptr[user + 1]]
-
     def user_walk_factor(self, alpha: float):
         """LU factor of I - (1 - alpha)**2 * L @ M, with L = pref_to_user
         and M = user_to_pref: the first walk's fixed point in user space.

@@ -23,28 +23,26 @@ once, one right-hand side per target, against an LU factor built once
 per operators and alpha (`UserPrefOperators.user_walk_factor`): a dense
 one where L @ M is dense, else SuperLU's, its columns ordered by
 minimum degree on L @ M's symmetric pattern.  Both solve through
-`.solve`; `solve_user_walk` is the block of one.  The second walk
-reads c only through its mass per item pole, B @ c for the pole
-incidence B, which the precomputed B @ M and B @ L.T give from s
-directly:
+`.solve`.  The second walk reads c only through its mass per item
+pole, B @ c for the pole incidence B, which the precomputed B @ M and
+B @ L.T give from s directly:
 
     B @ c = (1 - alpha) * (B @ M) @ s + alpha * (B @ L.T)[:, u] / Z_u
 
 so ranking does O(n_users + n_items) work beside the solve and never
-builds a vector over preferences; c itself is built on first access.
-The result reports no sweeps and, as its residual, the joint L1 change
-one more sweep would make, also computed in user space: with m the
-joint mass of (s, c), it is
+builds a vector over preferences.  `solve_user_walk` is the walk's full
+state for one target: the block of one, with c built from s.  It
+reports no sweeps and, as its residual, the joint L1 change one more
+sweep would make.  With (s, c) at unit joint mass and m their joint
+mass before scaling, that is
 
-    |(1 - alpha)**2 * L @ M @ s + (1 - alpha) * alpha * G[:, u] / Z_u - s|_1 / m
-        + alpha * |1 - 1 / m|
+    |(1 - alpha) * L @ c - s|_1 + alpha * |1 - 1 / m|
 
 Each column is renormalized to unit joint L1 mass.  The iterate,
 `run_user_walk`, lives in `walk_state`.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -70,24 +68,13 @@ class UserWalkConfig:
 @dataclass(eq=False)
 class UserWalkResult:
     """A walk state at unit joint L1 mass, with the sweeps that reached
-    it, its residual and whether that is below tol.
-
-    `_concordances` (per observed preference) may be a function of no
-    arguments, called when `concordances` is first read.
-    `concordance_poles`, set by `solve_user_walk` only, is the
-    concordance mass per item pole: win poles, then loss poles."""
+    it, its residual and whether that is below tol."""
 
     similarities: np.ndarray  # per user
-    _concordances: object
+    concordances: np.ndarray  # per observed preference
     iterations: int
     residual: float
     converged: bool
-    concordance_poles: np.ndarray | None = None
-
-    @cached_property
-    def concordances(self) -> np.ndarray:
-        c = self._concordances
-        return c() if callable(c) else c
 
 
 def _check_targets(ops: UserPrefOperators, targets: np.ndarray) -> None:
@@ -103,9 +90,9 @@ def restart_vector(ops: UserPrefOperators, target: int) -> np.ndarray:
     """Restart distribution over observed preferences: the target's own
     preferences, discounted by how many users share each one."""
     _check_targets(ops, np.array([target]))
-    cols = ops.pref_columns(target)
+    row = slice(ops.pref_col_indptr[target], ops.pref_col_indptr[target + 1])
     d = np.zeros(ops.observed_ids.size)
-    d[cols] = 1.0 / ops.pref_support[cols]
+    d[ops.pref_col_indices[row]] = ops.pref_to_user.matrix.data[row]  # L.T[:, target]
     return d / d.sum()
 
 
@@ -132,25 +119,9 @@ class UserWalkBlock:
     at unit joint L1 mass.  The arrays are column-major, so a column's
     sums run in the same order whatever the block's width."""
 
-    ops: UserPrefOperators
-    config: UserWalkConfig
-    targets: np.ndarray
     similarities: np.ndarray       # n_users x m
     concordance_poles: np.ndarray  # 2 * n_items x m: win poles, then loss poles
     mass: np.ndarray               # each column's joint L1 mass before scaling
-    residuals: np.ndarray          # each column's one-sweep change
-
-    def result(self, j: int) -> UserWalkResult:
-        """Column j as a walk result; its concordances are built on first read."""
-        ops, alpha, target = self.ops, self.config.alpha, int(self.targets[j])
-        sim, mass, residual = self.similarities[:, j], self.mass[j], float(self.residuals[j])
-
-        def concordances():
-            return ((1.0 - alpha) * ops.user_to_pref.apply(sim)
-                    + alpha * restart_vector(ops, target) / mass)
-
-        return UserWalkResult(sim, concordances, 0, residual, residual < self.config.tol,
-                              self.concordance_poles[:, j])
 
 
 def solve_user_walks(ops: UserPrefOperators, targets,
@@ -176,16 +147,21 @@ def solve_user_walks(ops: UserPrefOperators, targets,
     _check_finite("user walk", sim, poles)
     # every preference has one winner, so the win poles hold the concordance mass
     mass = sim.sum(axis=0) + poles[:ops.n_items].sum(axis=0)
-    moved = np.multiply(keep * keep, space.coupling @ sim, order="F")
-    moved += rhs
-    moved -= sim
-    residuals = np.abs(moved).sum(axis=0) / mass + alpha * np.abs(1.0 - 1.0 / mass)
     sim /= mass
     poles /= mass
-    return UserWalkBlock(ops, cfg, targets, sim, poles, mass, residuals)
+    return UserWalkBlock(sim, poles, mass)
 
 
 def solve_user_walk(ops: UserPrefOperators, target: int,
                     config: UserWalkConfig | None = None) -> UserWalkResult:
-    """The walk's fixed point for one target user: a block of one."""
-    return solve_user_walks(ops, [target], config).result(0)
+    """The walk's full fixed point for one target user, concordances and
+    residual included: a block of one, then c from s (see the module
+    docstring)."""
+    cfg = config or UserWalkConfig()
+    alpha, keep = cfg.alpha, 1.0 - cfg.alpha
+    block = solve_user_walks(ops, [target], cfg)
+    sim, mass = block.similarities[:, 0], block.mass[0]
+    con = keep * ops.user_to_pref.apply(sim) + alpha * restart_vector(ops, target) / mass
+    residual = float(np.abs(keep * ops.pref_to_user.apply(con) - sim).sum()
+                     + alpha * abs(1.0 - 1.0 / mass))
+    return UserWalkResult(sim, con, 0, residual, residual < cfg.tol)

@@ -117,14 +117,21 @@ def built():
     """Each variable name the benchmark reads members off, with the
     objects it can hold: `report` is an EvalReport in one workload and a
     DiagnosticsReport in another."""
+    from prefwalk import build_restart, restart_vector, run_item_walk, run_user_walk
+
     ds = random_ratings(np.random.default_rng(5), n_users=6, n_items=7, min_per_user=3)
     store = derive_preferences(ds)
     graph = UserPrefGraph.from_store(store)
     ops = user_pref_operators(graph)
-    o = rank_items_for_user(ops, *item_pole_operators(ds.n_items), first_warm_user(store), k=3)
+    poles, target = item_pole_operators(ds.n_items), first_warm_user(store)
+    o = rank_items_for_user(ops, *poles, target, k=3)
+    # the worker's `first` and `second` come from the iterates, as in its `_rank`
+    first = run_user_walk(ops.pref_to_user, ops.user_to_pref, restart_vector(ops, target))
+    second = run_item_walk(*poles, build_restart(first.concordances, ops.observed_ids,
+                                                 ds.n_items))
     evaluated = run_evaluation(ds, [2], (1,), repetitions=1, min_test=1)
     built = {"ds": ds, "train": ds, "test": ds, "store": store, "graph": graph, "ops": ops,
-             "o": o, "first": o.first, "second": o.second, "scored": o.scored}
+             "o": o, "first": first, "second": second, "scored": o.scored}
     return {**{root: [obj] for root, obj in built.items()},
             "report": [evaluated, collect_diagnostics(graph, sample=2)]}
 

@@ -289,6 +289,20 @@ def test_option_table_matches_readme_and_commands():
     assert sorted(keys) == sorted(OPTIONS)
     read = {key for command in COMMANDS.values() for key in command.options}
     assert read == set(OPTIONS)
+    # each row of the per-subcommand table names exactly what COMMANDS gives it
+    start = readme.index("| subcommand | options |")
+    rows = dict(re.findall(r"\| `(\w+)` \| ([^|]*) \|",
+                           readme[start:readme.index("| option |", start)]))
+    assert sorted(rows) == sorted(COMMANDS)
+
+    def flags(keys):
+        return sorted(key.replace("_", "-") for key in keys)
+
+    for name, command in COMMANDS.items():
+        assert sorted(re.findall(r"`--([\w-]+)", rows[name])) == flags(
+            command.options + command.flags), name
+        assert sorted(re.findall(r"`--([\w-]+)[^`]*` \(required\)", rows[name])) == flags(
+            command.required), name
 
 
 def test_missing_file_is_data_error(tmp_path, capsys):
@@ -390,11 +404,35 @@ def test_bad_flags_exit_one(capsys):
     for argv in (["evaluate", "r.tsv", "--upl", "3", "--rep", "2"],
                  ["recommend", "r.tsv", "--user", "1", "--top", "3"],
                  ["recommend", "r.tsv", "--user", "1", "--seed", "-1"],
+                 ["recommend", "r.tsv", "--user", "1", "--tol", "1e-8"],
                  ["recommend", "r.tsv", "--user", "1", "--verbose"],
                  ["split", "r.tsv", "--upl", "3", "--out", "s", "-v"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+
+def test_recommend_ignores_shared_tol(ratings_file, tmp_path, capsys):
+    # recommend reads no tol, so a shared config's tol is not range-checked there
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("tol=nan\n", encoding="utf-8")
+    plain = run_cli(capsys, "recommend", ratings_file, "--user", "1")
+    assert plain[0] == 0
+    assert run_cli(capsys, "recommend", ratings_file, "--user", "1", "--config", cfg) == plain
+    code, out, err = run_cli(capsys, "diagnose", ratings_file, "--config", cfg)
+    assert code == 1 and out == "" and "tol" in err
+
+
+def test_non_utf8_inputs_exit_with_their_codes(ratings_file, tmp_path, capsys):
+    ratings = tmp_path / "latin1.tsv"
+    ratings.write_bytes(ratings_file.read_bytes() + b"1\t2\xff\t3\n")
+    code, out, err = run_cli(capsys, "recommend", ratings, "--user", "1")
+    assert (code, out) == (2, "") and err.startswith("error: ") and "latin1.tsv" in err
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# r\xe9glages\nalpha=0.2\n")
+    code, out, err = run_cli(capsys, "evaluate", ratings_file, "--upl", "3",
+                             "--config", cfg)
+    assert (code, out) == (1, "") and err.startswith("error: ") and "latin1.cfg" in err
 
 
 def test_missing_upl_is_usage_error(ratings_file, tmp_path, capsys):

@@ -50,6 +50,23 @@ def test_parse_errors():
         loads_ratings("1\t2\t3", fmt="json")
 
 
+@pytest.mark.parametrize("line", [
+    "1_0\t2\t3",          # an id with a digit separator, which int() reads as 10
+    "\u0661\u0662\t2\t3",  # Arabic-Indic digits, which int() reads as 12
+    "1\t2\t4_0",          # a rating float() would read as 40.0
+])
+def test_python_literal_fields_rejected(line):
+    with pytest.raises(ParseError, match="line 2"):
+        loads_ratings(f"10\t2\t3\n{line}\n")
+
+
+def test_negative_ids_exponent_ratings_and_free_extra_columns_parse():
+    # an ignored column may hold '_' and non-ASCII text
+    ds = loads_ratings("-3\t-7\t4e0\tcaf\u00e9_1\n-3\t8\t2.5E-1\n")
+    assert list(ds.raw_user_ids) == [-3] and list(ds.raw_item_ids) == [-7, 8]
+    assert list(ds.ratings) == [4.0, 0.25]
+
+
 def test_non_finite_rating_rejected():
     for bad in ("nan", "inf", "-inf", "NaN", "Infinity"):
         with pytest.raises(ParseError, match=r"line 2: rating .* is not finite"):

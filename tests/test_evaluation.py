@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -15,13 +16,14 @@ from helpers import (assert_same_ranking, factor_kind, first_warm_user, random_r
                      random_store)
 
 from prefwalk import (ColdStartError, ItemWalkConfig, NumericalError, PreferenceStore,
-                      SplitSpec, UserPrefGraph, UserWalkConfig, collect_diagnostics,
-                      decode_pair, derive_preferences, distinct_levels, item_pole_operators,
-                      loads_ratings, ndcg_at_k, ndcg_rows, rank_block, rank_items_for_user,
-                      run_evaluation, upl_split, user_pref_operators)
+                      RankedBlock, RankOutcome, SplitSpec, UserPrefGraph, UserWalkBlock,
+                      UserWalkConfig, collect_diagnostics, decode_pair, derive_preferences,
+                      distinct_levels, item_pole_operators, loads_ratings, ndcg_at_k,
+                      ndcg_rows, rank_block, rank_items_for_user, run_evaluation, upl_split,
+                      user_pref_operators)
 from prefwalk import evaluation, graph as graph_module
 from prefwalk.item_walk import exclusion_mask, item_scores, recommend_topk
-from prefwalk.user_walk import restart_vector, solve_user_walk
+from prefwalk.user_walk import restart_vector, solve_user_walk, solve_user_walks
 from prefwalk.walk_state import build_restart, score_items, solve_item_walk
 
 
@@ -107,40 +109,37 @@ def test_ndcg_rows_matches_ndcg_at_k(seed):
         assert np.abs(got[r] - want).max() <= 1e-12
 
 
+def _full_walks(ops, target, walk1=None, walk2=None):
+    """Both walks' full exact state for one user, as diagnostics take it."""
+    first = solve_user_walk(ops, target, walk1)
+    q = build_restart(first.concordances, ops.observed_ids, ops.n_items)
+    return first, solve_item_walk(q, walk2)
+
+
 def test_rank_items_matches_manual_pipeline():
     store = random_store(np.random.default_rng(12), n_users=5, n_items=6)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     w_op, t_op = item_pole_operators(store.n_items)
     target = first_warm_user(store)
     outcome = rank_items_for_user(ops, w_op, t_op, target, k=4, exclude={0})
-    first = solve_user_walk(ops, target)
-    scored = item_scores(first.concordance_poles)
+    scored = item_scores(solve_user_walks(ops, [target]).concordance_poles[:, 0])
     assert np.array_equal(outcome.items, recommend_topk(scored, 4, exclude={0}))
     assert 0 not in set(int(i) for i in outcome.items)
     assert np.array_equal(outcome.scored.scores, scored.scores)
     assert np.array_equal(outcome.scored.defined, scored.defined)
-    assert outcome.first.iterations == 0 and outcome.second.iterations == 0
+    first, second = _full_walks(ops, target)
+    assert first.iterations == 0 and second.iterations == 0
 
 
-def test_rank_builds_second_only_on_first_read(monkeypatch):
-    store = random_store(np.random.default_rng(13), n_users=5, n_items=6)
-    ops = user_pref_operators(UserPrefGraph.from_store(store))
-    calls = []
-
-    def counted(fn):
-        return lambda *args, **kw: calls.append(fn.__name__) or fn(*args, **kw)
-
-    for fn in (build_restart, solve_item_walk):
-        monkeypatch.setattr(evaluation, fn.__name__, counted(fn))
-    target = first_warm_user(store)
-    outcome = rank_items_for_user(ops, *item_pole_operators(store.n_items), target, k=3)
-    assert calls == [] and "second" not in vars(outcome)
-    second = outcome.second
-    assert calls == ["build_restart", "solve_item_walk"]
-    assert outcome.second is second and len(calls) == 2
-    q = build_restart(solve_user_walk(ops, target).concordances, ops.observed_ids,
-                      store.n_items)
-    assert np.array_equal(second.pole_mass, solve_item_walk(q).pole_mass)
+def test_ranking_returns_only_rankings():
+    # walk state comes from the walk solvers, never from a ranking
+    names = {cls: [f.name for f in dataclasses.fields(cls)]
+             for cls in (RankOutcome, RankedBlock, UserWalkBlock)}
+    assert names == {RankOutcome: ["items", "scored"],
+                     RankedBlock: ["scored", "items", "counts"],
+                     UserWalkBlock: ["similarities", "concordance_poles", "mass"]}
+    assert not [name for name, value in vars(UserWalkBlock).items()
+                if callable(value) and not name.startswith("__")]
 
 
 def test_rank_rejects_mismatched_pole_operators():
@@ -159,10 +158,11 @@ def test_near_one_beta_unreached_items_score_one_half():
     n = 2000
     store = PreferenceStore.from_pairs(2, n, [[(0, 1)], [(2, 3)]])
     ops = user_pref_operators(UserPrefGraph.from_store(store))
-    out = rank_items_for_user(ops, *item_pole_operators(n), 0, k=n,
-                              walk2=ItemWalkConfig(beta=0.9999))
-    full = score_items(out.second)
-    pm = out.second.pole_mass
+    walk2 = ItemWalkConfig(beta=0.9999)
+    out = rank_items_for_user(ops, *item_pole_operators(n), 0, k=n, walk2=walk2)
+    second = _full_walks(ops, 0, walk2=walk2)[1]
+    full = score_items(second)
+    pm = second.pole_mass
     assert (pm[:n] + pm[n:])[2:].max() < 1e-15
     for scored in (out.scored, full):
         assert scored.defined.all()
@@ -198,17 +198,18 @@ def _p_space_walks(ops, target, alpha, beta):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_pole_marginals_match_lazy_concordances(seed):
-    store, target, alpha, beta = _warm_instance(seed)
+    # the pole marginals ranking reads, against the concordances that
+    # only solve_user_walk builds
+    store, target, alpha, _ = _warm_instance(seed)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     n = store.n_items
-    out = rank_items_for_user(ops, *item_pole_operators(n), target, k=n,
-                              walk1=UserWalkConfig(alpha=alpha), walk2=ItemWalkConfig(beta=beta))
-    con = out.first.concordances
+    walk1 = UserWalkConfig(alpha=alpha)
+    con = solve_user_walk(ops, target, walk1).concordances
     winners, losers = decode_pair(ops.observed_ids, n)
-    poles = out.first.concordance_poles
+    poles = solve_user_walks(ops, [target], walk1).concordance_poles[:, 0]
     assert np.abs(poles[:n] - np.bincount(winners, con, minlength=n)).max() <= 1e-15
     assert np.abs(poles[n:] - np.bincount(losers, con, minlength=n)).max() <= 1e-15
-    q = out.second._restart
+    q = build_restart(con, ops.observed_ids, n)
     assert np.array_equal(q.pair_ids, ops.observed_ids)
     assert np.abs(q.win_sums - np.bincount(q.winners, q.weights, minlength=n)).max() <= 1e-15
     assert np.abs(q.loss_sums - np.bincount(q.losers, q.weights, minlength=n)).max() <= 1e-15
@@ -236,17 +237,18 @@ def test_scores_match_p_space_pipeline(seed):
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     n = store.n_items
     w_op, t_op = item_pole_operators(n)
-    out = rank_items_for_user(ops, w_op, t_op, target, k=n,
-                              walk1=UserWalkConfig(alpha=alpha), walk2=ItemWalkConfig(beta=beta))
+    walk1, walk2 = UserWalkConfig(alpha=alpha), ItemWalkConfig(beta=beta)
+    out = rank_items_for_user(ops, w_op, t_op, target, k=n, walk1=walk1, walk2=walk2)
+    first, exact = _full_walks(ops, target, walk1, walk2)
     sim, con, second = _p_space_walks(ops, target, alpha, beta)
     scored = score_items(second)
-    assert np.abs(out.first.similarities - sim).max() <= 1e-14
-    assert np.abs(out.first.concordances - con).max() <= 1e-14
+    assert np.abs(first.similarities - sim).max() <= 1e-14
+    assert np.abs(first.concordances - con).max() <= 1e-14
     assert np.abs(out.scored.scores - scored.scores).max() <= 1e-14
     # the two paths may differ by an ulp, so ties within 1e-14 may break either way
     assert np.array_equal(np.sort(out.items), np.arange(n))
     assert np.all(np.diff(scored.scores[out.items]) <= 1e-14)
-    assert np.abs(out.second.pref_mass - second.pref_mass).max() <= 1e-14
+    assert np.abs(exact.pref_mass - second.pref_mass).max() <= 1e-14
 
 
 @settings(deadline=None, max_examples=20)
@@ -255,10 +257,14 @@ def test_rank_alpha_one_and_beta_one(seed):
     store, target, _, _ = _warm_instance(seed)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     poles = item_pole_operators(store.n_items)
-    out = rank_items_for_user(ops, *poles, target, walk1=UserWalkConfig(alpha=1.0))
-    assert np.all(out.first.similarities == 0.0)
-    assert np.abs(out.first.concordances - restart_vector(ops, target)).max() <= 1e-15
-    assert out.first.converged
+    walk1 = UserWalkConfig(alpha=1.0)
+    first, second = _full_walks(ops, target, walk1)
+    assert np.all(first.similarities == 0.0)
+    assert np.abs(first.concordances - restart_vector(ops, target)).max() <= 1e-15
+    assert first.converged
+    # so ranking scores the target's own preferences alone
+    out = rank_items_for_user(ops, *poles, target, walk1=walk1)
+    assert np.abs(out.scored.scores - score_items(second).scores).max() <= 1e-15
     out = rank_items_for_user(ops, *poles, target, walk2=ItemWalkConfig(beta=1.0))
     assert np.all(out.scored.scores == 0.0) and not out.scored.defined.any()
 
@@ -341,6 +347,39 @@ def test_ranking_builds_no_preference_sized_vector():
     assert peak_bytes(lambda: rank_items_for_user(ops, *poles, 1, exclude=rated)) < n_prefs * 8 / 4
 
 
+class _Untouchable:
+    """Stands in for an operator that ranking must not read."""
+
+    def _refuse(self, *args):
+        raise AssertionError("ranking read an operator outside user space")
+
+    __getattr__ = __matmul__ = __rmatmul__ = __array__ = _refuse
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_ranking_touches_only_user_space(kind):
+    # once the factor is built, ranking needs neither L nor M nor the
+    # coupling L @ M: it solves with the factor and projects with the
+    # other user-space matrices
+    ds = random_ratings(np.random.default_rng(8), n_users=12, n_items=9, min_per_user=4)
+    ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(ds)))
+    warm = np.flatnonzero(ops.user_degrees > 0)
+    rated = [ds.user_rows(int(u))[0] for u in warm]
+    poles = item_pole_operators(ds.n_items)
+
+    def rankings():
+        block = rank_block(ops, warm, 5, exclusion_mask(ds.n_items, rated))
+        one = rank_items_for_user(ops, *poles, int(warm[-1]), k=5, exclude=rated[-1])
+        return block.items, block.counts, block.scored.scores, one.items, one.scored.scores
+
+    with factor_kind(kind):
+        ops.user_walk_factor(UserWalkConfig().alpha)
+    want = rankings()
+    ops.pref_to_user = ops.user_to_pref = ops.user_space.coupling = _Untouchable()
+    for got, expected in zip(rankings(), want):
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_rank_cold_and_out_of_range_targets():
     store = PreferenceStore.from_pairs(3, 3, [[(0, 1)], [], [(1, 2)]])
     ops = user_pref_operators(UserPrefGraph.from_store(store))
@@ -369,7 +408,7 @@ def test_user_sharing_no_preference_scores_one_half(seed):
     target = len(rows)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     outcome = rank_items_for_user(ops, *item_pole_operators(n), target, k=n)
-    assert np.all(np.delete(outcome.first.similarities, target) == 0.0)
+    assert np.all(np.delete(solve_user_walk(ops, target).similarities, target) == 0.0)
     unseen = np.setdiff1d(np.arange(n), picked)
     assert np.all(outcome.scored.scores[unseen] == 0.5)
 
@@ -451,7 +490,8 @@ def test_rank_block_on_threads_matches_serial():
     def rank(ops, lo):
         users = warm[lo:lo + evaluation.EVAL_BLOCK]
         rated = [ds.user_rows(int(u))[0] for u in users]
-        return rank_block(ops, users, 10, exclusion_mask(n_items, rated))
+        return (rank_block(ops, users, 10, exclusion_mask(n_items, rated)),
+                solve_user_walks(ops, users).similarities)
 
     for ops in (dense, sparse_ops):
         serial = [rank(ops, lo) for lo in starts]
@@ -461,12 +501,11 @@ def test_rank_block_on_threads_matches_serial():
             with ThreadPoolExecutor(max_workers=4) as pool:
                 for _ in range(3):
                     threaded = pool.map(rank, itertools.repeat(ops), starts, timeout=60)
-                    for one, other in zip(serial, threaded):
+                    for (one, sims), (other, other_sims) in zip(serial, threaded):
                         assert np.array_equal(one.items, other.items)
                         assert np.array_equal(one.counts, other.counts)
                         assert one.scored.scores.tobytes() == other.scored.scores.tobytes()
-                        assert (one.first.similarities.tobytes()
-                                == other.first.similarities.tobytes())
+                        assert sims.tobytes() == other_sims.tobytes()
         finally:
             sys.setswitchinterval(interval)
 
@@ -770,16 +809,15 @@ def test_diagnostics_levels_match_per_value_rounding():
     train, _, _ = upl_split(ds, SplitSpec(10, min_test=5, seed=1, repetitions=1), 0)
     graph = UserPrefGraph.from_store(derive_preferences(train))
     ops = user_pref_operators(graph)
-    poles = item_pole_operators(graph.n_items)
     uni = graph.n_items * (graph.n_items - 1)
     active = np.flatnonzero(ops.user_degrees > 0)
     for walk2 in (ItemWalkConfig(), ItemWalkConfig(beta=1.0)):
         report = collect_diagnostics(graph, walk2=walk2)
         assert len(report.users) == active.size > 1
         for diag in report.users:
-            outcome = rank_items_for_user(ops, *poles, diag.user, k=0, walk2=walk2)
-            conc, pref = outcome.first.concordances, outcome.second.pref_mass
-            sims = outcome.first.similarities[active[active != diag.user]]
+            first, second = _full_walks(ops, diag.user, walk2=walk2)
+            conc, pref = first.concordances, second.pref_mass
+            sims = first.similarities[active[active != diag.user]]
             reached_conc = conc[conc > evaluation.NONZERO_EPS]
             reached_pref = pref[pref > evaluation.NONZERO_EPS]
             assert diag.similarity_levels == _oracle_levels(sims)

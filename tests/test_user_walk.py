@@ -11,7 +11,7 @@ from helpers import assert_same_ranking, factor_kind, first_warm_user, random_st
 from prefwalk import (ColdStartError, NumericalError, PreferenceStore, SplitSpec,
                       UserPrefGraph, UserWalkConfig, derive_preferences, item_pole_operators,
                       loads_ratings, rank_items_for_user, restart_vector, run_user_walk,
-                      solve_user_walk, upl_split, user_pref_operators)
+                      solve_user_walk, solve_user_walks, upl_split, user_pref_operators)
 from prefwalk import graph as graph_module
 from prefwalk.graph import DenseLU
 from prefwalk.reference import (dense_fixed_point, dense_reference_ranking,
@@ -297,16 +297,17 @@ def test_dense_factor_ranks_as_reference_and_sparse(seed):
     target, n = first_warm_user(store), store.n_items
     poles = item_pole_operators(n)
     alpha = float(rng.uniform(0.05, 1.0))
-    outcomes = {}
+    outcomes, sims = {}, {}
     for kind, factor_type in (("dense", DenseLU), ("sparse", SuperLU)):
         with factor_kind(kind):
             ops = ops_for(store)
             outcomes[kind] = rank_items_for_user(ops, *poles, target, k=n,
                                                  walk1=UserWalkConfig(alpha=alpha))
+            sims[kind] = solve_user_walks(ops, [target], UserWalkConfig(alpha=alpha)).similarities
             assert type(ops.user_walk_factor(alpha)) is factor_type
     dense, sparse = outcomes["dense"], outcomes["sparse"]
     ref = dense_reference_ranking(store, target, alpha=alpha, k=n, tol=1e-15, max_iter=5000)
     assert_same_ranking(dense.items, ref.items, dense.scored.scores, ref.scores, 1e-12)
     assert_same_ranking(dense.items, sparse.items, dense.scored.scores, sparse.scored.scores,
                         1e-14)
-    assert np.abs(dense.first.similarities - sparse.first.similarities).max() <= 1e-14
+    assert np.abs(sims["dense"] - sims["sparse"]).max() <= 1e-14
