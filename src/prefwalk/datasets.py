@@ -2,15 +2,23 @@
 
 Input files are flat text, one rating per line: user, item, rating,
 optionally followed by extra columns (e.g. a timestamp) which are
-ignored.  Raw user/item ids are arbitrary integers; they are mapped to
-dense 0-based ids in order of first appearance so graph code can use
-them as array indices.  Duplicate (user, item) lines keep the last
-rating seen.  Ratings must be finite numbers.  Ids and ratings are
-plain ASCII numbers: no `_` separators, no non-ASCII digits.
+ignored.  Raw user/item ids are arbitrary integers that fit in int64;
+they are mapped to dense 0-based ids in order of first appearance so
+graph code can use them as array indices.  Duplicate (user, item) lines
+keep the last rating seen.  Ratings must be finite numbers.  Ids and
+ratings are plain ASCII numbers: no `_` separators, no non-ASCII digits.
+
+Input that is all ASCII and holds no `_` is read by numpy's C reader
+(`np.loadtxt`), and the duplicates and id maps are then settled by
+sorting.  Whatever that reader refuses or warns about, an empty result
+and any non-finite rating send the input to the Python line loop
+instead, which is also the only path for other input; it reports each
+error with its line number.
 """
 
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +27,8 @@ import numpy as np
 from .errors import EmptyDatasetError, EmptySplitError, ParseError
 
 FORMAT_SEPS = {"tsv_umr": "\t", "csv_umr": ","}
+_INT64 = np.iinfo(np.int64)
+_COLUMNS = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64)])
 
 
 @dataclass
@@ -86,6 +96,8 @@ def _parse_stream(stream, sep: str, name: str) -> RatingsDataset:
             raise ParseError(f"{name}, line {ln}: {exc}") from None
         if not math.isfinite(r):
             raise ParseError(f"{name}, line {ln}: rating {parts[2]!r} is not finite")
+        if not (_INT64.min <= u <= _INT64.max and _INT64.min <= i <= _INT64.max):
+            raise ParseError(f"{name}, line {ln}: ids must fit in a signed 64-bit integer")
         by_pair[(u, i)] = r  # last occurrence wins, first-seen order kept
     if not by_pair:
         raise EmptyDatasetError(f"{name}: no ratings")
@@ -106,6 +118,44 @@ def _parse_stream(stream, sep: str, name: str) -> RatingsDataset:
     )
 
 
+def _first_seen(raw: np.ndarray):
+    """Dense ids of `raw` in order of first appearance, and the raw id of each."""
+    distinct, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    dense = np.empty_like(order)
+    dense[order] = np.arange(order.size)
+    return dense[inverse], distinct[order]
+
+
+def _parse_table(data: bytes, sep: str):
+    """`data` parsed by numpy's C reader, or None where it must go through
+    _parse_stream: input that is not plain ASCII numbers, that the reader
+    refuses or warns about, or that holds no rating or a non-finite one."""
+    if not data.isascii() or b"_" in data:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. empty input; ints read through float on older numpy
+        try:
+            table = np.loadtxt(io.BytesIO(data), dtype=_COLUMNS, delimiter=sep, comments=None,
+                               usecols=(0, 1, 2), ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if table.size == 0 or not np.isfinite(table["rating"]).all():
+        return None
+    users, raw_users = _first_seen(table["user"])
+    items, raw_items = _first_seen(table["item"])
+    # one row per (user, item), where it first appears, holding its last rating
+    pair = users * raw_items.size + items
+    order = np.argsort(pair, kind="stable")
+    pair = pair[order]
+    starts = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
+    first, last = order[starts], order[np.r_[starts[1:], order.size] - 1]
+    rows = np.argsort(first)
+    first, last = first[rows], last[rows]
+    return RatingsDataset(users[first], items[first], table["rating"][last],
+                          raw_users, raw_items)
+
+
 def _separator(fmt: str) -> str:
     if fmt not in FORMAT_SEPS:
         raise ParseError(f"unknown format {fmt!r}; expected one of {sorted(FORMAT_SEPS)}")
@@ -115,16 +165,25 @@ def _separator(fmt: str) -> str:
 def load_ratings(path, fmt: str = "tsv_umr") -> RatingsDataset:
     """Parse a ratings file.  fmt is one of 'tsv_umr' or 'csv_umr'."""
     sep = _separator(fmt)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return _parse_stream(fh, sep, str(path))
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: not UTF-8 text") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    parsed = _parse_table(data, sep)
+    if parsed is not None:
+        return parsed
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    # newline=None splits lines at \r, \n and \r\n, as a file opened as text does
+    return _parse_stream(io.StringIO(text, newline=None), sep, str(path))
 
 
 def loads_ratings(text: str, fmt: str = "tsv_umr") -> RatingsDataset:
-    """Parse ratings from a string (mainly for tests)."""
-    return _parse_stream(io.StringIO(text), _separator(fmt), "<string>")
+    """Parse ratings from a string (mainly for tests).  Unlike a file's,
+    its lines end only at a newline, never at a lone carriage return."""
+    sep = _separator(fmt)
+    parsed = _parse_table(text.encode("utf-8", "surrogatepass"), sep)
+    return parsed if parsed is not None else _parse_stream(io.StringIO(text), sep, "<string>")
 
 
 def write_ratings(dataset: RatingsDataset, path, fmt: str = "tsv_umr") -> None:

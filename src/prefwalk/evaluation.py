@@ -53,7 +53,7 @@ NONZERO_EPS = 1e-15
 LEVEL_DIGITS = 12
 
 
-@dataclass
+@dataclass(eq=False)
 class RankOutcome:
     items: np.ndarray
     scored: ScoredItems

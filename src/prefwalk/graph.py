@@ -13,6 +13,12 @@ pole incidence of the observed preferences (each preference joins its
 winner's win pole and its loser's loss pole).  All are n_users or
 n_items wide, never as wide as the preference side.
 
+The operators' columns are the observed preferences, in ascending pair
+id order, from `preferences.pair_columns`.  Where the n_items**2 span of
+pair ids is at most COUNT_COLUMNS_MAX_SPAN (4) times the store's size it
+counts the ids over that span, as on the full ML-100K-shaped file;
+otherwise, as on its splits, it sorts them.
+
 Pole indexing: win pole of item i is i, loss pole is n_items + i.
 """
 
@@ -26,7 +32,7 @@ from scipy.sparse import csgraph
 from scipy.sparse.linalg import splu
 
 from .errors import EmptyGraphError, NumericalError
-from .preferences import PreferenceStore, decode_pair, sorted_unique
+from .preferences import PreferenceStore, decode_pair, pair_columns
 
 # Walk 1's factor is a dense LU when L @ M holds more than this share of
 # its n_users**2 entries and n_users is at most DENSE_FACTOR_MAX_USERS
@@ -165,12 +171,6 @@ class UserSpaceOperators:
     poles_from_restart: sparse.csc_matrix  # B @ L.T, 2 * n_items x n_users
 
 
-def _pair_columns(pair_ids: np.ndarray):
-    """The distinct pair ids, sorted, and each id's index among them."""
-    observed = sorted_unique(pair_ids)
-    return observed, np.searchsorted(observed, pair_ids)
-
-
 def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
     """Column-normalized transition operators of the user/preference
     graph, read straight from its store's CSR arrays: L = pref_to_user
@@ -179,8 +179,8 @@ def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
     indptr, pids = store.indptr, store.pair_ids
     if pids.size == 0:
         raise EmptyGraphError("graph has no edges")
-    observed, cols = _pair_columns(pids)  # cols ascend within each user, as pids do
-    support = np.bincount(cols, minlength=observed.size).astype(np.float64)
+    observed, support, cols = pair_columns(store)  # cols ascend within each user, as pids do
+    support = support.astype(np.float64)
     degrees = np.diff(indptr).astype(np.float64)
     shape = (g.n_users, observed.size)
     to_user = sparse.csr_matrix((1.0 / support[cols], cols, indptr), shape=shape)
@@ -205,7 +205,7 @@ def connectivity_report(g: UserPrefGraph) -> ConnectivityReport:
     """Connected components over users-with-edges plus preference nodes."""
     store = g.to_store()
     isolated = int(np.count_nonzero(np.diff(store.indptr) == 0))
-    observed, cols = _pair_columns(store.pair_ids)
+    observed, _, cols = pair_columns(store)
     n_nodes = g.n_users + observed.size
     # users, then preferences; each user's row lists its preference nodes
     cols += g.n_users

@@ -39,7 +39,7 @@ class ItemWalkConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class ScoredItems:
     scores: np.ndarray   # in [0, 1]; n_items, or n_items x m for a block of users
     defined: np.ndarray  # False where both poles hold no mass (only at beta = 1)

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 
-from prefwalk import PreferenceStore, graph, loads_ratings
+from prefwalk import PreferenceStore, graph, loads_ratings, preferences
 
 
 def random_ratings(rng, n_users=8, n_items=9, min_per_user=2, max_per_user=None,
@@ -68,6 +68,12 @@ def factor_kind(kind: str):
                    "sparse": ("DENSE_FACTOR_MAX_USERS", 0)}[kind]
     with mock.patch.object(graph, name, value):
         yield
+
+
+def pair_columns_branch(store):
+    """pair_columns(store), and whether it counted: it sorts through sorted_unique."""
+    with mock.patch.object(preferences, "sorted_unique", wraps=preferences.sorted_unique) as spy:
+        return preferences.pair_columns(store), not spy.called
 
 
 def assert_same_ranking(items_a, items_b, scores_a, scores_b, tol: float) -> int:

@@ -435,6 +435,14 @@ def test_non_utf8_inputs_exit_with_their_codes(ratings_file, tmp_path, capsys):
     assert (code, out) == (1, "") and err.startswith("error: ") and "latin1.cfg" in err
 
 
+def test_id_beyond_int64_exits_two(tmp_path, capsys):
+    ratings = tmp_path / "huge.tsv"
+    ratings.write_text("99999999999999999999\t2\t3\n1\t2\t4\n")
+    code, out, err = run_cli(capsys, "recommend", ratings, "--user", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {ratings}, line 1: ids must fit in a signed 64-bit integer\n"
+
+
 def test_missing_upl_is_usage_error(ratings_file, tmp_path, capsys):
     code, _, err = run_cli(capsys, "split", ratings_file, "--out", tmp_path / "s")
     assert code == 1 and "--upl" in err

@@ -1,4 +1,6 @@
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from helpers import random_ratings
 from prefwalk import (EmptyDatasetError, EmptySplitError, ParseError, SplitSpec,
                       derive_preferences, load_ratings, loads_ratings, upl_split,
                       write_ratings)
+from prefwalk import datasets
 
 
 def test_parse_two_lines():
@@ -103,6 +106,104 @@ def test_parse_fuzz(rows):
     got = {(int(ds.raw_user_ids[u]), int(ds.raw_item_ids[i])): r
            for u, i, r in zip(ds.users, ds.items, ds.ratings)}
     assert got == expected
+
+
+@pytest.mark.parametrize("line", [f"{2 ** 63}\t2\t3", f"1\t{-2 ** 63 - 1}\t3",
+                                  "99999999999999999999\t2\t3"])
+def test_ids_beyond_int64_rejected(line):
+    with pytest.raises(ParseError, match="line 2: ids must fit in a signed 64-bit integer"):
+        loads_ratings(f"1\t2\t4\n{line}\n")
+
+
+def test_ids_at_int64_bounds_parse():
+    ds = loads_ratings(f"{2 ** 63 - 1}\t{-2 ** 63}\t3\n")
+    assert ds.raw_user_ids.tolist() == [2 ** 63 - 1] and ds.raw_item_ids.tolist() == [-2 ** 63]
+
+
+# -- numpy's C reader against the line loop --------------------------------------
+
+_ID_TEXT = st.one_of(
+    st.integers(-1, 3).map(str),  # few ids, so (user, item) duplicates are common
+    st.sampled_from(["2.0", "+2", "007", "1e3", "0x10", "3#", "#", "", "x", "1_0",
+                     str(2 ** 63 - 1), str(2 ** 63), str(-2 ** 63), str(-2 ** 63 - 1),
+                     "99999999999999999999"]),
+)
+_FLOAT_TEXT = st.one_of(
+    _RATING_TEXT,
+    st.sampled_from(["4.5", "-0", "2.5e-1", ".5", "5.", "0x1p3", "1e400", "-1e400", "1e-400",
+                     "inf", "INF", "NaN", "4#", "#4", "4_0"]),
+)
+_EXTRA_TEXT = st.sampled_from(["881250949", "", "x", "#c", "a b", '"q', "4.5"])
+_ODD_EXTRA_TEXT = st.one_of(_EXTRA_TEXT, st.sampled_from(["_", "caf\u00e9"]))
+_PAD = st.sampled_from(["", "", "", " ", "  "])
+_BLANK = st.sampled_from(["", " ", "\t", ",", "  \t "])
+_END = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", ""])
+
+
+@st.composite
+def _ratings_texts(draw):
+    """(fmt, text, plain): ratings text as files come.  A plain text holds
+    only rows of small integers, extra columns and empty lines, each ended
+    by LF or CRLF, which numpy's C reader must take; any line of the rest
+    may hold any of the oddities above."""
+    fmt, plain = draw(st.sampled_from(sorted(datasets.FORMAT_SEPS))), draw(st.booleans())
+    sep, lines = datasets.FORMAT_SEPS[fmt], []
+    odd = st.booleans() if not plain else st.just(False)
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            body = draw(_BLANK) if draw(odd) else ""
+        else:
+            if draw(odd):
+                fields = [draw(_ID_TEXT), draw(_ID_TEXT), draw(_FLOAT_TEXT)]
+            else:
+                fields = [str(draw(st.integers(0, 3))), str(draw(st.integers(0, 3))),
+                          str(draw(st.integers(1, 5)))]
+            fields += draw(st.lists(_ODD_EXTRA_TEXT if draw(odd) else _EXTRA_TEXT, max_size=3))
+            if draw(odd):
+                fields = [draw(_PAD) + f + draw(_PAD) for f in fields]
+            body = sep.join(fields)
+            if draw(odd):
+                body = draw(st.sampled_from(["", sep])) + body + draw(st.sampled_from(["", sep]))
+        lines.append(body + draw(_END if draw(odd) else st.sampled_from(["\n", "\r\n"])))
+    return fmt, "".join(lines), plain and any(line.strip() for line in lines)
+
+
+def _outcome(parse, *args):
+    """A parse's five arrays, each as (dtype, bytes), or its error's type and message."""
+    try:
+        ds = parse(*args)
+    except (ParseError, EmptyDatasetError) as exc:
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.tobytes()) for a in
+            (ds.users, ds.items, ds.ratings, ds.raw_user_ids, ds.raw_item_ids)]
+
+
+@settings(deadline=None, max_examples=400)
+@given(_ratings_texts())
+def test_c_reader_parses_as_the_line_loop(tmp_path_factory, case):
+    fmt, text, plain = case
+    sep, path = datasets.FORMAT_SEPS[fmt], tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_bytes(text.encode())
+    real, took = datasets._parse_table, []
+
+    def spy(*args):
+        parsed = real(*args)
+        took.append(parsed is not None)
+        return parsed
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mp.setattr(datasets, "_parse_table", spy)
+        got_string = _outcome(loads_ratings, text, fmt)
+        got_file = _outcome(load_ratings, path, fmt)
+    assert not caught  # the reader's warnings, such as on empty input, stay inside
+    # the line loop splits a string's lines at \n, and a file's, opened as text, at \r too
+    assert got_string == _outcome(datasets._parse_stream, io.StringIO(text), sep, "<string>")
+    with open(path, encoding="utf-8") as fh:
+        assert got_file == _outcome(datasets._parse_stream, fh, sep, str(path))
+    assert took[0] == took[1]
+    if plain:
+        assert took == [True, True]
 
 
 def test_load_missing_file(tmp_path):

@@ -142,6 +142,17 @@ def test_ranking_returns_only_rankings():
                 if callable(value) and not name.startswith("__")]
 
 
+def test_rankings_compare_by_identity():
+    # array fields have no truth value, so rankings compare (and hash) as objects
+    store = random_store(np.random.default_rng(12), n_users=5, n_items=6)
+    ops = user_pref_operators(UserPrefGraph.from_store(store))
+    poles, target = item_pole_operators(store.n_items), first_warm_user(store)
+    outcome, again = (rank_items_for_user(ops, *poles, target) for _ in range(2))
+    assert outcome == outcome and outcome != again
+    assert outcome.scored == outcome.scored and outcome.scored != again.scored
+    assert len({outcome, again, outcome.scored, again.scored}) == 4
+
+
 def test_rank_rejects_mismatched_pole_operators():
     store = random_store(np.random.default_rng(14), n_users=4, n_items=5)
     ops = user_pref_operators(UserPrefGraph.from_store(store))

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import random_ratings
+from helpers import pair_columns_branch, random_ratings, random_store
 
 from prefwalk import (PreferenceConflictError, PreferenceStore, decode_pair,
                       dense_index, derive_preferences, encode_pair, loads_ratings,
                       universe_size)
-from prefwalk.preferences import sorted_unique
+from prefwalk.preferences import COUNT_COLUMNS_MAX_SPAN, sorted_unique
 
 
 def test_encode_decode_roundtrip_scalar():
@@ -133,6 +133,35 @@ def test_sorted_unique_matches_np_unique(values):
     got = sorted_unique(v)
     assert got.dtype == np.int64
     assert np.array_equal(got, np.unique(v))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_pair_columns_match_np_unique_on_both_branches(seed, counted):
+    rng = np.random.default_rng(seed)
+    if counted:  # few items held by many users: the ids fill their span
+        store = random_store(rng, n_users=int(rng.integers(4, 30)),
+                             n_items=int(rng.integers(2, 6)), fill=float(rng.uniform(0.3, 0.9)))
+    else:  # many items, sparsely held
+        store = random_store(rng, n_users=int(rng.integers(0, 4)),
+                             n_items=int(rng.integers(12, 40)), fill=float(rng.uniform(0, 0.05)))
+    assume((store.n_items ** 2 <= COUNT_COLUMNS_MAX_SPAN * store.total) == counted)
+    got, took_count = pair_columns_branch(store)
+    assert took_count == counted
+    want = np.unique(store.pair_ids, return_inverse=True, return_counts=True)
+    for name, g, w in zip(("observed", "support", "cols"), got, (want[0], want[2], want[1])):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert np.array_equal(store.observed_ids(), want[0])
+
+
+def test_pair_columns_counts_from_a_quarter_of_the_span():
+    # one user holding the first `total` ids of 10 items' 100
+    for total, counted in ((25, True), (24, False), (0, False)):
+        store = PreferenceStore(1, 10, [0, total], np.arange(total))
+        (observed, support, cols), took_count = pair_columns_branch(store)
+        assert took_count is counted and COUNT_COLUMNS_MAX_SPAN == 4
+        assert observed.tolist() == cols.tolist() == list(range(total))
+        assert support.tolist() == [1] * total
 
 
 def test_observed_ids_of_empty_store():

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.linalg import SuperLU
 
-from helpers import assert_same_ranking, factor_kind, first_warm_user, random_store
+from helpers import (assert_same_ranking, factor_kind, first_warm_user, pair_columns_branch,
+                     random_store)
 
 from prefwalk import (ColdStartError, NumericalError, PreferenceStore, SplitSpec,
                       UserPrefGraph, UserWalkConfig, derive_preferences, item_pole_operators,
@@ -274,16 +276,31 @@ def _bench_generator():
     return gen
 
 
-def test_benchmark_splits_keep_the_sparse_factor():
-    # the seed-1 benchmark file's upl=10 and upl=30 train splits, built
-    # in memory as the benchmark builds them, stay on SuperLU, so their
-    # NDCG cells and diagnostic rows keep the sparse path's sums
+@functools.cache
+def _bench_ratings():
+    """The seed-1 benchmark file and its upl=10 and upl=30 train splits,
+    built in memory as the benchmark builds them."""
     gen = _bench_generator()
     ds = loads_ratings(gen.encode(*gen.generate(1)).decode("ascii"))
-    for upl in (10, 30):
-        train = upl_split(ds, SplitSpec(upl, seed=1, repetitions=1), 0)[0]
+    return ds, {upl: upl_split(ds, SplitSpec(upl, seed=1, repetitions=1), 0)[0]
+                for upl in (10, 30)}
+
+
+def test_benchmark_splits_keep_the_sparse_factor():
+    # the splits stay on SuperLU, so their NDCG cells and diagnostic rows
+    # keep the sparse path's sums
+    for train in _bench_ratings()[1].values():
         ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(train)))
         assert type(ops.user_walk_factor(UserWalkConfig().alpha)) is SuperLU
+
+
+def test_benchmark_column_maps_count_only_the_full_file():
+    # the full file's 4.56M pair ids outnumber the 1682**2 span, so they
+    # are counted; each split's are sorted, which is faster there
+    full, splits = _bench_ratings()
+    for ds, counted in ((full, True), (splits[10], False), (splits[30], False)):
+        store = derive_preferences(ds)
+        assert pair_columns_branch(store)[1] is counted
 
 
 @settings(deadline=None, max_examples=30)
