@@ -31,7 +31,7 @@ _INT64 = np.iinfo(np.int64)
 _COLUMNS = np.dtype([("user", np.int64), ("item", np.int64), ("rating", np.float64)])
 
 
-@dataclass
+@dataclass(eq=False)
 class RatingsDataset:
     """Ratings as parallel arrays over dense user/item ids."""
 
@@ -52,6 +52,15 @@ class RatingsDataset:
     @property
     def n_ratings(self) -> int:
         return int(self.users.size)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatingsDataset):
+            return NotImplemented
+        return (self.n_users == other.n_users and self.n_items == other.n_items
+                and self.n_ratings == other.n_ratings
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("users", "items", "ratings", "raw_user_ids",
+                                     "raw_item_ids")))
 
     @cached_property
     def _user_index(self):

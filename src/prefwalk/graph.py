@@ -3,10 +3,13 @@
 An edge joins a user to every preference observed in their profile.
 The graph is only ever consumed through column-stochastic transition
 operators.  (The second walk's preference/pole graph is never stored;
-its operators live in `walk_state`.)
+its operators live in `walk_state`.)  The graph is read-only, so it
+builds its operators once, on first use, and keeps them:
+`user_pref_operators` and `connectivity_report` return that one build
+(and one connectivity report) on every call.
 
 Ranking reads the first walk in user space (see user_walk), through
-matrices the operators build once per graph, on first use: L @ M,
+matrices the operators build once, on first use: L @ M,
 L @ L.T, L @ 1, and the projections B @ M and B @ L.T of user space onto
 the item poles, where L = pref_to_user, M = user_to_pref and B is the
 pole incidence of the observed preferences (each preference joins its
@@ -45,7 +48,9 @@ DENSE_FACTOR_MAX_USERS = 4096
 
 
 class UserPrefGraph:
-    """Read-only user/preference graph: a view that shares one PreferenceStore."""
+    """Read-only user/preference graph: a view that shares one
+    PreferenceStore.  It builds its operators once, on first use, and
+    keeps them, with the factors and `user_space` they build in turn."""
 
     def __init__(self, store: PreferenceStore):
         self._store = store
@@ -63,8 +68,49 @@ class UserPrefGraph:
     def user_degree(self, user: int) -> int:
         return self._store.count(user)
 
+    @cached_property
+    def _operators(self) -> "UserPrefOperators":
+        """`user_pref_operators`, read straight from the store's CSR
+        arrays: L = pref_to_user takes the store's row layout, and
+        M = user_to_pref is its transpose."""
+        store = self._store
+        indptr, pids = store.indptr, store.pair_ids
+        if pids.size == 0:
+            raise EmptyGraphError("graph has no edges")
+        observed, support, cols = pair_columns(store)  # cols ascend within each user, as pids do
+        support = support.astype(np.float64)
+        degrees = np.diff(indptr).astype(np.float64)
+        shape = (self.n_users, observed.size)
+        to_user = sparse.csr_matrix((1.0 / support[cols], cols, indptr), shape=shape)
+        # M in CSC form has L's pattern: column u holds u's preferences
+        to_pref = sparse.csc_matrix((1.0 / np.repeat(degrees, np.diff(indptr)), cols, indptr),
+                                    shape=shape[::-1]).tocsr()
+        return UserPrefOperators(
+            n_users=self.n_users, n_items=self.n_items, observed_ids=observed,
+            pref_support=support, user_degrees=degrees, pref_to_user=StochasticOperator(to_user),
+            user_to_pref=StochasticOperator(to_pref))
 
-@dataclass
+    @cached_property
+    def _connectivity(self) -> "ConnectivityReport":
+        """`connectivity_report`: the edges are the pattern of the
+        operators' L."""
+        isolated = int(np.count_nonzero(np.diff(self._store.indptr) == 0))
+        if self._store.total == 0:  # no edges, and so no operators
+            return ConnectivityReport(False, 0, 0, isolated)
+        to_user = self._operators.pref_to_user.matrix
+        n_prefs = to_user.shape[1]
+        n_nodes = self.n_users + n_prefs
+        # users, then preferences; each user's row lists its preference nodes
+        cols = np.add(to_user.indices, self.n_users, dtype=np.int64)
+        indptr = np.r_[to_user.indptr, np.full(n_prefs, to_user.nnz)]
+        adj = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n_nodes, n_nodes))
+        # every isolated user is a component of its own, and is not counted
+        n_comp = csgraph.connected_components(adj, directed=False)[0] - isolated
+        return ConnectivityReport(bool(n_comp == 1), int(n_comp), self.n_users - isolated,
+                                  isolated)
+
+
+@dataclass(eq=False)
 class StochasticOperator:
     """A column-stochastic transition, applied as a matrix-vector product."""
 
@@ -92,7 +138,7 @@ class DenseLU:
         return dgetrs(self.lu, self.piv.copy(), rhs)[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class UserPrefOperators:
     """Everything the first walk needs, built once per graph."""
 
@@ -103,7 +149,7 @@ class UserPrefOperators:
     user_degrees: np.ndarray     # preferences per user
     pref_to_user: StochasticOperator  # (n_users x P), columns sum to 1
     user_to_pref: StochasticOperator  # (P x n_users), non-empty columns sum to 1
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _factors: dict = field(default_factory=dict, init=False, repr=False)
     # L's own arrays: user -> slice of pref_col_indices, the column of each preference
     pref_col_indptr = property(lambda self: self.pref_to_user.matrix.indptr)
     pref_col_indices = property(lambda self: self.pref_to_user.matrix.indices)
@@ -158,7 +204,7 @@ class UserPrefOperators:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class UserSpaceOperators:
     """Walk 1 seen from user space.  With L = pref_to_user, M =
     user_to_pref and B the (2 * n_items x P) pole incidence of the
@@ -172,28 +218,12 @@ class UserSpaceOperators:
 
 
 def user_pref_operators(g: UserPrefGraph) -> UserPrefOperators:
-    """Column-normalized transition operators of the user/preference
-    graph, read straight from its store's CSR arrays: L = pref_to_user
-    takes the store's row layout, and M = user_to_pref is its transpose."""
-    store = g.to_store()
-    indptr, pids = store.indptr, store.pair_ids
-    if pids.size == 0:
-        raise EmptyGraphError("graph has no edges")
-    observed, support, cols = pair_columns(store)  # cols ascend within each user, as pids do
-    support = support.astype(np.float64)
-    degrees = np.diff(indptr).astype(np.float64)
-    shape = (g.n_users, observed.size)
-    to_user = sparse.csr_matrix((1.0 / support[cols], cols, indptr), shape=shape)
-    # M in CSC form has L's pattern: column u holds u's preferences
-    to_pref = sparse.csc_matrix((1.0 / np.repeat(degrees, np.diff(indptr)), cols, indptr),
-                                shape=shape[::-1]).tocsr()
-    return UserPrefOperators(
-        n_users=g.n_users, n_items=g.n_items, observed_ids=observed, pref_support=support,
-        user_degrees=degrees, pref_to_user=StochasticOperator(to_user),
-        user_to_pref=StochasticOperator(to_pref))
+    """Column-normalized transition operators of the graph: built by the
+    graph's first call, and the same object on every later one."""
+    return g._operators
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectivityReport:
     connected: bool
     n_components: int
@@ -202,15 +232,6 @@ class ConnectivityReport:
 
 
 def connectivity_report(g: UserPrefGraph) -> ConnectivityReport:
-    """Connected components over users-with-edges plus preference nodes."""
-    store = g.to_store()
-    isolated = int(np.count_nonzero(np.diff(store.indptr) == 0))
-    observed, _, cols = pair_columns(store)
-    n_nodes = g.n_users + observed.size
-    # users, then preferences; each user's row lists its preference nodes
-    cols += g.n_users
-    indptr = np.r_[store.indptr, np.full(observed.size, store.total)]
-    adj = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n_nodes, n_nodes))
-    # every isolated user is a component of its own, and is not counted
-    n_comp = csgraph.connected_components(adj, directed=False)[0] - isolated
-    return ConnectivityReport(bool(n_comp == 1), int(n_comp), g.n_users - isolated, isolated)
+    """Connected components over users-with-edges plus preference nodes:
+    found by the graph's first call, and the same report on every later one."""
+    return g._connectivity

@@ -26,7 +26,7 @@ MAX_DENSE_DIM = 10_000
 MAX_POLE_ITEMS = 50
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseSystem:
     """Stacked affine system for one walk."""
 
@@ -143,7 +143,7 @@ def dense_restart_vector(store, target: int, observed_ids, support) -> np.ndarra
     return d / d.sum()
 
 
-@dataclass
+@dataclass(eq=False)
 class DenseRanking:
     similarities: np.ndarray  # per user
     concordances: np.ndarray  # per observed preference

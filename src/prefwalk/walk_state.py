@@ -112,7 +112,7 @@ def build_restart(concordances: np.ndarray, observed_ids: np.ndarray,
                          np.asarray(concordances, dtype=np.float64) / total)
 
 
-@dataclass
+@dataclass(eq=False)
 class ItemWalkResult:
     n_items: int
     pole_mass: np.ndarray  # (2 * n_items,): win poles then loss poles

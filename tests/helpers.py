@@ -63,7 +63,8 @@ def ml100k_file():
 def factor_kind(kind: str):
     """Within the block, walk 1's factor is built dense ("dense") or
     sparse ("sparse") whatever the coupling's density (test graphs stay
-    under the dense factor's user cap)."""
+    under the dense factor's user cap).  A graph keeps the operators it
+    built, and they keep their factors, so each kind needs its own graph."""
     name, value = {"dense": ("DENSE_FACTOR_MIN_DENSITY", -1.0),
                    "sparse": ("DENSE_FACTOR_MAX_USERS", 0)}[kind]
     with mock.patch.object(graph, name, value):

@@ -6,6 +6,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from helpers import (assert_same_ranking, factor_kind, first_warm_user, random_r
 
 from prefwalk import (ColdStartError, ItemWalkConfig, NumericalError, PreferenceStore,
                       RankedBlock, RankOutcome, SplitSpec, UserPrefGraph, UserWalkBlock,
-                      UserWalkConfig, collect_diagnostics, decode_pair, derive_preferences,
-                      distinct_levels, item_pole_operators, loads_ratings, ndcg_at_k,
-                      ndcg_rows, rank_block, rank_items_for_user, run_evaluation, upl_split,
-                      user_pref_operators)
-from prefwalk import evaluation, graph as graph_module
+                      UserWalkConfig, collect_diagnostics, connectivity_report, decode_pair,
+                      derive_preferences, distinct_levels, item_pole_operators, loads_ratings,
+                      ndcg_at_k, ndcg_rows, rank_block, rank_items_for_user, run_evaluation,
+                      upl_split, user_pref_operators)
+from prefwalk import evaluation, graph as graph_module, preferences
 from prefwalk.item_walk import exclusion_mask, item_scores, recommend_topk
+from prefwalk.reference import dense_reference_ranking, stacked_system
 from prefwalk.user_walk import restart_vector, solve_user_walk, solve_user_walks
 from prefwalk.walk_state import build_restart, score_items, solve_item_walk
 
@@ -151,6 +153,29 @@ def test_rankings_compare_by_identity():
     assert outcome == outcome and outcome != again
     assert outcome.scored == outcome.scored and outcome.scored != again.scored
     assert len({outcome, again, outcome.scored, again.scored}) == 4
+
+
+def test_array_holders_compare_without_raising():
+    # a ratings dataset compares by value, as a PreferenceStore does; the
+    # other classes with array fields compare (and hash) as objects
+    text = "1\t1\t5\n1\t2\t3\n2\t1\t4\n2\t3\t1\n"
+    ds, same = loads_ratings(text), loads_ratings(text)
+    assert ds == same and not ds != same and ds != "ratings"
+    assert ds != loads_ratings(text.replace("\t3\n", "\t2\n", 1))
+    assert ds != ds.subset(np.arange(ds.n_ratings) > 0)
+    store = derive_preferences(ds)
+    target = first_warm_user(store)
+    ops, fresh = (user_pref_operators(UserPrefGraph.from_store(store)) for _ in range(2))
+    first = solve_user_walk(ops, target)
+    walk2 = [solve_item_walk(build_restart(first.concordances, ops.observed_ids,
+                                           ops.n_items)) for _ in range(2)]
+    system = [stacked_system(np.zeros((1, 1)), np.zeros((1, 1)), np.ones(1) / 2,
+                             np.ones(1) / 2, 0.5) for _ in range(2)]
+    ranking = [dense_reference_ranking(store, target) for _ in range(2)]
+    for one, other in ((ops, fresh), (ops.pref_to_user, fresh.pref_to_user),
+                       (ops.user_space, fresh.user_space), walk2, system, ranking):
+        assert one == one and one != other and not one == other
+        assert len({one, other}) == 2
 
 
 def test_rank_rejects_mismatched_pole_operators():
@@ -798,19 +823,55 @@ def _level_chunk(kind, rng, n):
     return rng.choice([0.0, -1.0, np.nan, -1e-300], size=n)
 
 
-@settings(max_examples=150, deadline=None)
-@given(size=st.integers(0, 2000), seed=st.integers(0, 2 ** 32 - 1),
-       kinds=st.lists(st.sampled_from(["decades", "half_points", "key_ends", "near",
-                                        "wide", "junk"]),
-                      min_size=1, max_size=5),
-       extra=st.lists(st.floats(1e-300, 1e300), max_size=10))
-def test_distinct_levels_matches_per_value_rounding(size, seed, kinds, extra):
+LEVEL_INPUTS = dict(
+    size=st.integers(0, 2000), seed=st.integers(0, 2 ** 32 - 1),
+    kinds=st.lists(st.sampled_from(["decades", "half_points", "key_ends", "near", "wide",
+                                    "junk"]),
+                   min_size=1, max_size=5),
+    extra=st.lists(st.floats(1e-300, 1e300), max_size=10))
+# chunk lengths that put many chunk edges inside runs of near-equal values
+SMALL_LEVEL_CHUNKS = [1, 2, 3, 7]
+
+
+def _levels_match_per_value_rounding(size, seed, kinds, extra):
     rng = np.random.default_rng(seed)
     chunks = [_level_chunk(kind, rng, size // len(kinds)) for kind in kinds]
     values = rng.permutation(np.concatenate(chunks + [np.asarray(extra, dtype=np.float64)]))
     before = values.copy()
     assert distinct_levels(values) == _oracle_levels(values)
     assert np.array_equal(values, before, equal_nan=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**LEVEL_INPUTS)
+def test_distinct_levels_matches_per_value_rounding(size, seed, kinds, extra):
+    _levels_match_per_value_rounding(size, seed, kinds, extra)
+
+
+@pytest.mark.parametrize("chunk", SMALL_LEVEL_CHUNKS)
+@settings(max_examples=150, deadline=None)
+@given(**LEVEL_INPUTS)
+def test_distinct_levels_in_small_chunks_match_per_value_rounding(chunk, size, seed, kinds,
+                                                                    extra):
+    with mock.patch.object(evaluation, "LEVEL_CHUNK", chunk):
+        _levels_match_per_value_rounding(size, seed, kinds, extra)
+
+
+@pytest.mark.parametrize("chunk", SMALL_LEVEL_CHUNKS)
+def test_level_runs_straddling_chunk_edges(chunk):
+    # runs of 1 to 4 values, each within a relative 3e-13 of the run's
+    # first, so that every run sharing a key, or split by one, meets
+    # chunk edges at every offset; the count is the unchunked one
+    rng = np.random.default_rng(chunk)
+    runs = [base * (1 + np.arange(rng.integers(1, 5)) * 1e-13)
+            for base in rng.uniform(1.0, 10.0, size=200) * 10.0 ** rng.integers(-5, 5, size=200)]
+    ends = (rng.integers(10 ** 11, 10 ** 12, size=50) + 0.5) * 1e-11  # key boundaries
+    values = np.sort(np.concatenate(runs + [ends * (1 - 1e-13), ends, ends * (1 + 1e-13)]))
+    want = evaluation._count_levels(values)
+    assert want == _oracle_levels(values)
+    with mock.patch.object(evaluation, "LEVEL_CHUNK", chunk):
+        assert evaluation._count_levels(values) == want
+        assert distinct_levels(rng.permutation(values)) == want
 
 
 def test_diagnostics_levels_match_per_value_rounding():
@@ -855,7 +916,42 @@ def test_diagnostics_peak_memory_per_user():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 8 * n_items ** 2
+    # the pair masses themselves, 8 * n_items**2 bytes, and little more:
+    # they are sorted in place and their levels counted in chunks
+    assert peak <= 1.5 * 8 * n_items ** 2
+
+
+def test_diagnostics_read_one_build_per_graph(monkeypatch):
+    # over one graph, the connectivity report, the operators and every
+    # collect_diagnostics call share one column map, one factor and one
+    # connectivity report, and report what a fresh graph reports
+    calls = {"pair_columns": 0, "factor": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    spy = counted("pair_columns", preferences.pair_columns)
+    for module in (preferences, graph_module):
+        monkeypatch.setattr(module, "pair_columns", spy)
+    for name in ("splu", "DenseLU"):
+        monkeypatch.setattr(graph_module, name, counted("factor", getattr(graph_module, name)))
+    ds = _protocol_dataset(n_users=12, per_user=20, n_items=40, seed=3)
+    train, _, _ = upl_split(ds, SplitSpec(10, min_test=5, seed=1, repetitions=1), 0)
+    store = derive_preferences(train)
+    graph = UserPrefGraph.from_store(store)
+    conn, ops = connectivity_report(graph), user_pref_operators(graph)
+    runs = [dict(), dict(users=[2, 0]), dict(sample=3, seed=5)]
+    reports = [collect_diagnostics(graph, **kwargs) for kwargs in runs]
+    assert calls == {"pair_columns": 1, "factor": 1}
+    assert connectivity_report(graph) is conn and user_pref_operators(graph) is ops
+    assert len(reports[0].users) > 3
+    for kwargs, report in zip(runs, reports):
+        fresh = collect_diagnostics(UserPrefGraph.from_store(store), **kwargs)
+        assert dataclasses.asdict(report) == dataclasses.asdict(fresh)
+    assert calls == {"pair_columns": 4, "factor": 4}
 
 
 def test_negative_diagnostics_sample_rejected():

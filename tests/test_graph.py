@@ -1,8 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from helpers import random_store
 
@@ -157,3 +160,33 @@ def test_connectivity_report():
 
     rep = connectivity_report(UserPrefGraph.from_store(PreferenceStore(2, 2, [0] * 3, [])))
     assert not rep.connected and rep.n_components == 0
+
+
+def _bipartite_connectivity(store):
+    """connectivity_report's fields, found as before the graph shared its
+    operators: a column map of its own, from np.unique, and a
+    user/preference adjacency built from the store."""
+    isolated = int(np.count_nonzero(np.diff(store.indptr) == 0))
+    observed, cols = np.unique(store.pair_ids, return_inverse=True)
+    n_nodes = store.n_users + observed.size
+    indptr = np.r_[store.indptr, np.full(observed.size, store.total)]
+    adj = sparse.csr_matrix((np.ones(cols.size), cols + store.n_users, indptr),
+                            shape=(n_nodes, n_nodes))
+    n_comp = csgraph.connected_components(adj, directed=False)[0] - isolated
+    return n_comp == 1, n_comp, store.n_users - isolated, isolated
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_connectivity_report_matches_bipartite_construction(seed):
+    rng = np.random.default_rng(seed)
+    base = random_store(rng, n_users=int(rng.integers(0, 10)), n_items=int(rng.integers(2, 8)),
+                        fill=float(rng.uniform(0.0, 0.4)))
+    # users with no preferences, anywhere among the others
+    at = np.sort(rng.integers(0, base.n_users + 1, size=int(rng.integers(0, 4))))
+    store = PreferenceStore(base.n_users + at.size, base.n_items,
+                            np.insert(base.indptr, at, base.indptr[at]), base.pair_ids)
+    g = UserPrefGraph.from_store(store)
+    rep = connectivity_report(g)
+    assert dataclasses.astuple(rep) == _bipartite_connectivity(store)
+    assert connectivity_report(g) is rep
