@@ -19,11 +19,10 @@ from .evaluation import (DiagnosticsReport, EvalReport, RankedBlock, RankOutcome
                          rank_block, rank_items_for_user, run_evaluation)
 from .graph import (ConnectivityReport, StochasticOperator, UserPrefGraph,
                     UserPrefOperators, connectivity_report, user_pref_operators)
-from .item_walk import (ItemWalkConfig, ScoredItems, exclusion_mask, item_scores,
-                        recommend_topk, topk_rows)
+from .item_walk import ScoredItems, exclusion_mask, item_scores, recommend_topk, topk_rows
 from .preferences import (PreferenceStore, decode_pair, dense_index, derive_preferences,
                           encode_pair, universe_size)
-from .user_walk import (UserWalkBlock, UserWalkConfig, UserWalkResult, restart_vector,
+from .user_walk import (UserWalkBlock, UserWalkResult, WalkConfig, restart_vector,
                         solve_user_walk, solve_user_walks)
 from .walk_state import (ItemWalkResult, RestartVector, build_restart, item_pole_operators,
                          run_item_walk, run_user_walk, score_items, solve_item_walk)
@@ -40,9 +39,9 @@ __all__ = [
     "derive_preferences",
     "UserPrefGraph", "StochasticOperator", "UserPrefOperators", "ConnectivityReport",
     "user_pref_operators", "item_pole_operators", "connectivity_report",
-    "UserWalkConfig", "UserWalkResult", "UserWalkBlock", "restart_vector", "run_user_walk",
+    "WalkConfig", "UserWalkResult", "UserWalkBlock", "restart_vector", "run_user_walk",
     "solve_user_walk", "solve_user_walks",
-    "ItemWalkConfig", "ItemWalkResult", "RestartVector", "ScoredItems", "build_restart",
+    "ItemWalkResult", "RestartVector", "ScoredItems", "build_restart",
     "run_item_walk", "solve_item_walk", "score_items", "item_scores", "recommend_topk",
     "topk_rows", "exclusion_mask",
     "RankOutcome", "RankedBlock", "rank_items_for_user", "rank_block", "ndcg_at_k",

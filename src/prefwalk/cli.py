@@ -23,9 +23,9 @@ from .datasets import FORMAT_SEPS, SplitSpec, check_split, load_ratings, upl_spl
 from .errors import ColdStartError, DataError, NumericalError, UsageError
 from .evaluation import EVAL_BLOCK, collect_diagnostics, rank_block, run_evaluation
 from .graph import UserPrefGraph, user_pref_operators
-from .item_walk import ItemWalkConfig, exclusion_mask
+from .item_walk import exclusion_mask
 from .preferences import derive_preferences
-from .user_walk import UserWalkConfig
+from .user_walk import WalkConfig
 
 
 def _int_list(text: str) -> list:
@@ -101,8 +101,7 @@ def resolve_options(args, config: dict) -> dict:
     if "alpha" in command.options:
         tol = {"tol": opts["tol"]} if "tol" in command.options else {}
         try:
-            opts["walk1"] = UserWalkConfig(alpha=opts["alpha"], **tol)
-            opts["walk2"] = ItemWalkConfig(beta=opts["beta"], **tol)
+            opts["walk"] = WalkConfig(alpha=opts["alpha"], beta=opts["beta"], **tol)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     return opts
@@ -166,8 +165,7 @@ def cmd_recommend(opts) -> int:
         if warm:
             rated = [dataset.user_rows(t)[0] for t in warm]
             block = rank_block(ops, warm, opts["top_k"],
-                               exclusion_mask(dataset.n_items, rated),
-                               opts["walk1"], opts["walk2"])
+                               exclusion_mask(dataset.n_items, rated), opts["walk"])
         col = 0  # the next warm user's column in the block
         for raw_user, target in users:
             if ops.user_degrees[target] == 0:
@@ -194,7 +192,7 @@ def cmd_evaluate(opts) -> int:
         repetitions=opts["repetitions"],
         seed=opts["seed"],
         min_test=opts["min_test"],
-        walk1=opts["walk1"], walk2=opts["walk2"],
+        config=opts["walk"],
         user_sample=opts["sample"],
         progress=_progress(opts),
     )
@@ -215,7 +213,7 @@ def cmd_diagnose(opts) -> int:
         UserPrefGraph.from_store(derive_preferences(dataset)),
         sample=opts["sample"],
         seed=opts["seed"],
-        walk1=opts["walk1"], walk2=opts["walk2"],
+        config=opts["walk"],
         progress=_progress(opts),
     )
     _report(report, opts["out"], "diagnostics.tsv")

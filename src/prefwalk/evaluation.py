@@ -4,7 +4,8 @@ Ranking solves both walks exactly: the first in user space, against an
 LU factor (dense where the user coupling is dense, else sparse) and
 user-space matrices that the graph's operators build once and keep,
 projected straight onto the item poles; the second by one score formula
-on those pole marginals.  Neither depends on max_iter, and per user
+on those pole marginals.  Of the one `WalkConfig` each entry point
+takes, ranking reads only alpha and beta, not tol or max_iter.  Per user
 the work is O(n_users + n_items) beside the solve: ranking builds no
 vector over preferences or pairs and computes no residual.  Diagnostics
 take both walks' full state from `solve_user_walk` and `solve_item_walk`.
@@ -44,9 +45,9 @@ from scipy import sparse
 
 from .datasets import RatingsDataset, SplitSpec, upl_split
 from .graph import UserPrefGraph, UserPrefOperators, connectivity_report, user_pref_operators
-from .item_walk import ItemWalkConfig, ScoredItems, exclusion_mask, item_scores, topk_rows
+from .item_walk import ScoredItems, exclusion_mask, item_scores, topk_rows
 from .preferences import derive_preferences, universe_size
-from .user_walk import UserWalkConfig, solve_user_walk, solve_user_walks
+from .user_walk import WalkConfig, solve_user_walk, solve_user_walks
 from .walk_state import build_restart, check_pole_operators, solve_item_walk
 
 NONZERO_EPS = 1e-15
@@ -70,25 +71,22 @@ class RankedBlock:
 
 
 def rank_block(ops: UserPrefOperators, targets, k: int, excluded: np.ndarray,
-               walk1: UserWalkConfig | None = None,
-               walk2: ItemWalkConfig | None = None) -> RankedBlock:
+               config: WalkConfig | None = None) -> RankedBlock:
     """Solve both walks exactly for a block of warm users and rank their
     items, leaving out those marked in the (m x n_items) excluded mask."""
-    scored = item_scores(solve_user_walks(ops, targets, walk1).concordance_poles, walk2)
+    scored = item_scores(solve_user_walks(ops, targets, config).concordance_poles, config)
     items, counts = topk_rows(scored.scores.T, k, excluded)
     return RankedBlock(scored, items, counts)
 
 
 def rank_items_for_user(ops: UserPrefOperators, pole_to_pref, pref_to_pole,
                         target: int, k: int = 10, exclude=(),
-                        walk1: UserWalkConfig | None = None,
-                        walk2: ItemWalkConfig | None = None) -> RankOutcome:
+                        config: WalkConfig | None = None) -> RankOutcome:
     """Solve both walks exactly for one user and rank their unseen items:
     `rank_block` for a block of one.  Of the pole operators, only their
     item count is read."""
     check_pole_operators(pole_to_pref, pref_to_pole, ops.n_items)
-    block = rank_block(ops, [target], k, exclusion_mask(ops.n_items, [exclude]),
-                       walk1, walk2)
+    block = rank_block(ops, [target], k, exclusion_mask(ops.n_items, [exclude]), config)
     scored = ScoredItems(block.scored.scores[:, 0], block.scored.defined[:, 0])
     return RankOutcome(block.items[0, :block.counts[0]], scored)
 
@@ -225,19 +223,19 @@ def _default_jobs() -> int:
 
 def _ndcg_blocks(pool: ThreadPoolExecutor, ops: UserPrefOperators, warm: np.ndarray,
                  seen: np.ndarray, gains: sparse.csr_matrix, cutoffs: list,
-                 walk1: UserWalkConfig, walk2: ItemWalkConfig) -> np.ndarray:
+                 config: WalkConfig) -> np.ndarray:
     """NDCG of each warm user (a row) at each cutoff (a column), ranked
     EVAL_BLOCK users at a time on the pool's threads, leaving out the
     items each has seen (the rows of the users x items mask `seen`).
     Each block writes only its own rows and returns nothing, so only the
     blocks in flight hold arrays."""
     # built here, once: the threads only read the factor and `user_space`
-    ops.user_walk_factor(walk1.alpha)
+    ops.user_walk_factor(config.alpha)
     per_user = np.empty((warm.size, len(cutoffs)))
 
     def score(lo):
         users = warm[lo:lo + EVAL_BLOCK]
-        block = rank_block(ops, users, max(cutoffs), seen[users], walk1, walk2)
+        block = rank_block(ops, users, max(cutoffs), seen[users], config)
         per_user[lo:lo + users.size] = ndcg_rows(block.items, block.counts, gains[users],
                                                  cutoffs)
 
@@ -248,10 +246,8 @@ def _ndcg_blocks(pool: ThreadPoolExecutor, ops: UserPrefOperators, warm: np.ndar
 
 def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
                    repetitions: int = 5, seed: int = 0, min_test: int = 10,
-                   walk1: UserWalkConfig | None = None,
-                   walk2: ItemWalkConfig | None = None,
-                   jobs: int | None = None, user_sample: int | None = None,
-                   progress=None) -> EvalReport:
+                   config: WalkConfig | None = None, jobs: int | None = None,
+                   user_sample: int | None = None, progress=None) -> EvalReport:
     """Full protocol over several profile sizes.
 
     user_sample, when set, evaluates only that many kept users per
@@ -276,10 +272,9 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
         jobs = _default_jobs()
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    walk1 = walk1 or UserWalkConfig()
-    walk2 = walk2 or ItemWalkConfig()
+    config = config or WalkConfig()
     report = EvalReport(upls, cutoffs, repetitions, config={
-        "alpha": walk1.alpha, "beta": walk2.beta, "tol": walk1.tol,
+        "alpha": config.alpha, "beta": config.beta, "tol": config.tol,
         "seed": seed, "min_test": min_test,
         "repetitions": repetitions, "user_sample": user_sample,
         "cutoffs": ",".join(str(k) for k in cutoffs),
@@ -299,20 +294,15 @@ def run_evaluation(dataset: RatingsDataset, upls, cutoffs=(1, 3, 5, 10),
                     rng = np.random.default_rng(np.random.SeedSequence([seed, upl, rep, 1]))
                     kept = np.sort(rng.choice(kept, size=user_sample, replace=False))
                 store = derive_preferences(train)
-                if store.total == 0:
-                    # every sampled profile is all-ties: nobody can be ranked
-                    report.evaluated_users[(upl, rep)] = 0
-                    report.cold_skipped[(upl, rep)] = int(kept.size)
-                    for k in cutoffs:
-                        rep_means[k].append(0.0)
-                    continue
-                ops = user_pref_operators(UserPrefGraph.from_store(store))
-                warm = kept[ops.user_degrees[kept] > 0]
-                seen = np.zeros((train.n_users, train.n_items), dtype=bool)
-                seen[train.users, train.items] = True
-                gains = sparse.csr_matrix((test.ratings, (test.users, test.items)),
-                                          shape=(test.n_users, test.n_items))
-                per_user = _ndcg_blocks(pool, ops, warm, seen, gains, cutoffs, walk1, walk2)
+                warm = kept[np.diff(store.indptr)[kept] > 0]
+                per_user = np.zeros((0, len(cutoffs)))
+                if warm.size:  # else nobody can be ranked, and nothing is built
+                    ops = user_pref_operators(UserPrefGraph.from_store(store))
+                    seen = np.zeros((train.n_users, train.n_items), dtype=bool)
+                    seen[train.users, train.items] = True
+                    gains = sparse.csr_matrix((test.ratings, (test.users, test.items)),
+                                              shape=(test.n_users, test.n_items))
+                    per_user = _ndcg_blocks(pool, ops, warm, seen, gains, cutoffs, config)
                 report.evaluated_users[(upl, rep)] = int(warm.size)
                 report.cold_skipped[(upl, rep)] = int(kept.size - warm.size)
                 for j, k in enumerate(cutoffs):
@@ -466,8 +456,7 @@ class DiagnosticsReport:
 
 
 def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = None,
-                        seed: int = 0, walk1: UserWalkConfig | None = None,
-                        walk2: ItemWalkConfig | None = None,
+                        seed: int = 0, config: WalkConfig | None = None,
                         progress=None) -> DiagnosticsReport:
     """Walk-coverage diagnostics for a sample of users with preferences.
     The graph builds its operators, walk 1's factor and `user_space` on
@@ -492,13 +481,13 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
         rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
         users = np.sort(rng.choice(users, size=sample, replace=False))
     for u in users:
-        first = solve_user_walk(ops, int(u), walk1)
+        first = solve_user_walk(ops, int(u), config)
         others = active[active != int(u)]
         sim_vals = first.similarities[others]
         conc = first.concordances
         conc_vals = conc[conc > NONZERO_EPS]
         conc_vals.sort()
-        second = solve_item_walk(build_restart(conc, ops.observed_ids, ops.n_items), walk2)
+        second = solve_item_walk(build_restart(conc, ops.observed_ids, ops.n_items), config)
         # the n_items**2 pair masses are this loop's own, so they are
         # sorted in place, with no filtered copy, and counted from the
         # first value above NONZERO_EPS
@@ -520,5 +509,5 @@ def collect_diagnostics(graph: UserPrefGraph, users=None, sample: int | None = N
         ))
         if progress:
             progress(f"user {u}: sim {report.users[-1].similarity_fraction:.3f}, "
-                     f"walk2 coverage {report.users[-1].pref_mass_fraction:.4f}")
+                     f"walk 2 coverage {report.users[-1].pref_mass_fraction:.4f}")
     return report

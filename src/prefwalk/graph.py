@@ -92,20 +92,16 @@ class UserPrefGraph:
 
     @cached_property
     def _connectivity(self) -> "ConnectivityReport":
-        """`connectivity_report`: the edges are the pattern of the
-        operators' L."""
+        """`connectivity_report`: two active users share a component
+        exactly when a chain of shared preferences links them, which is
+        the pattern of walk 1's coupling L @ M, so that is the graph
+        searched."""
         isolated = int(np.count_nonzero(np.diff(self._store.indptr) == 0))
         if self._store.total == 0:  # no edges, and so no operators
             return ConnectivityReport(False, 0, 0, isolated)
-        to_user = self._operators.pref_to_user.matrix
-        n_prefs = to_user.shape[1]
-        n_nodes = self.n_users + n_prefs
-        # users, then preferences; each user's row lists its preference nodes
-        cols = np.add(to_user.indices, self.n_users, dtype=np.int64)
-        indptr = np.r_[to_user.indptr, np.full(n_prefs, to_user.nnz)]
-        adj = sparse.csr_matrix((np.ones(cols.size), cols, indptr), shape=(n_nodes, n_nodes))
+        coupling = self._operators.user_space.coupling
         # every isolated user is a component of its own, and is not counted
-        n_comp = csgraph.connected_components(adj, directed=False)[0] - isolated
+        n_comp = csgraph.connected_components(coupling, directed=False)[0] - isolated
         return ConnectivityReport(bool(n_comp == 1), int(n_comp), self.n_users - isolated,
                                   isolated)
 

@@ -16,27 +16,15 @@ item the first walk never reached scores exactly 1/2.  At beta = 1 the
 poles hold no mass: every score is 0 and flagged undefined.  Ranking
 reads qw and ql off the first walk's mass per item pole, in O(n_items)
 per user, for one user or for a block of them (one column each), and
-takes each user's top-k with `topk_rows`.
+takes each user's top-k with `topk_rows`.  beta is the `WalkConfig`'s
+(see `user_walk`).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass
-class ItemWalkConfig:
-    beta: float = 0.15    # restart probability
-    tol: float = 1e-10    # joint L1 threshold: stops the iterate, sets `converged`
-    max_iter: int = 100   # sweeps of the iterate (the closed form does none)
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must be in (0, 1]")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError("tol must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+from .user_walk import WalkConfig
 
 
 @dataclass(eq=False)
@@ -46,11 +34,11 @@ class ScoredItems:
 
 
 def item_scores(concordance_poles: np.ndarray,
-                config: ItemWalkConfig | None = None) -> ScoredItems:
+                config: WalkConfig | None = None) -> ScoredItems:
     """Every item's score at walk 2's fixed point, from the concordance
     mass per item pole (win poles, then loss poles), along axis 0: one
     user's 2 * n_items vector, or one column per user of a block."""
-    cfg = config or ItemWalkConfig()
+    cfg = config or WalkConfig()
     n = concordance_poles.shape[0] // 2
     total = concordance_poles[:n].sum(axis=0)
     if np.any(total <= 0):

@@ -39,7 +39,9 @@ mass before scaling, that is
     |(1 - alpha) * L @ c - s|_1 + alpha * |1 - 1 / m|
 
 Each column is renormalized to unit joint L1 mass.  The iterate,
-`run_user_walk`, lives in `walk_state`.
+`run_user_walk`, lives in `walk_state`.  Both walks read one
+`WalkConfig`: this one its alpha, the second its beta, and the iterates
+its tol and max_iter.
 """
 
 from dataclasses import dataclass
@@ -51,18 +53,26 @@ from .graph import UserPrefOperators
 
 
 @dataclass
-class UserWalkConfig:
-    alpha: float = 0.15   # restart probability
-    tol: float = 1e-10    # joint L1 threshold: stops the iterate, sets `converged`
-    max_iter: int = 100   # sweeps of the iterate (the exact solve does none)
+class WalkConfig:
+    """Both walks' settings.  Each walk reads its own restart probability;
+    tol and max_iter are shared."""
+
+    alpha: float = 0.15   # walk 1's restart probability
+    beta: float = 0.15    # walk 2's restart probability
+    tol: float = 1e-10    # joint L1 threshold: stops the iterates, sets `converged`
+    max_iter: int = 100   # sweeps of the iterates (the exact solves do none)
 
     def __post_init__(self):
+        # of several bad values, the first in this order is the one
+        # reported, and the CLI's usage errors rely on that order
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.beta <= 1.0:
+            raise ValueError("beta must be in (0, 1]")
 
 
 @dataclass(eq=False)
@@ -125,12 +135,12 @@ class UserWalkBlock:
 
 
 def solve_user_walks(ops: UserPrefOperators, targets,
-                     config: UserWalkConfig | None = None) -> UserWalkBlock:
+                     config: WalkConfig | None = None) -> UserWalkBlock:
     """The walk's fixed point for a block of target users, from one
     solve with a right-hand side per target against the operators'
     memoized factor for this alpha, in user space (see the module
     docstring)."""
-    cfg = config or UserWalkConfig()
+    cfg = config or WalkConfig()
     targets = np.asarray(targets, dtype=np.int64)
     _check_targets(ops, targets)
     alpha, keep = cfg.alpha, 1.0 - cfg.alpha
@@ -153,11 +163,11 @@ def solve_user_walks(ops: UserPrefOperators, targets,
 
 
 def solve_user_walk(ops: UserPrefOperators, target: int,
-                    config: UserWalkConfig | None = None) -> UserWalkResult:
+                    config: WalkConfig | None = None) -> UserWalkResult:
     """The walk's full fixed point for one target user, concordances and
     residual included: a block of one, then c from s (see the module
     docstring)."""
-    cfg = config or UserWalkConfig()
+    cfg = config or WalkConfig()
     alpha, keep = cfg.alpha, 1.0 - cfg.alpha
     block = solve_user_walks(ops, [target], cfg)
     sim, mass = block.similarities[:, 0], block.mass[0]

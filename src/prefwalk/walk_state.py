@@ -2,7 +2,8 @@
 
 Ranking reads none of it (see `user_walk` and `item_walk`).  The
 iterates `run_user_walk` and `run_item_walk` count sweeps for the
-convergence tests; diagnostics read `solve_item_walk`'s mass per pair.
+convergence tests, up to a `WalkConfig`'s max_iter; diagnostics read
+`solve_item_walk`'s mass per pair.
 
 The second walk runs on a preference/pole graph that is never stored:
 
@@ -37,17 +38,17 @@ from functools import cached_property
 import numpy as np
 
 from .graph import StochasticOperator
-from .item_walk import ItemWalkConfig, ScoredItems
+from .item_walk import ScoredItems
 from .preferences import decode_pair, universe_size
-from .user_walk import UserWalkConfig, UserWalkResult, _check_finite
+from .user_walk import UserWalkResult, WalkConfig, _check_finite
 
 
 def run_user_walk(pref_to_user: StochasticOperator, user_to_pref: StochasticOperator,
-                  restart: np.ndarray, config: UserWalkConfig | None = None) -> UserWalkResult:
+                  restart: np.ndarray, config: WalkConfig | None = None) -> UserWalkResult:
     """Iterate the coupled walk from a uniform joint start (half the
     mass on each side) until the joint L1 change drops below tol;
     hitting max_iter first is reported, not fatal."""
-    cfg = config or UserWalkConfig()
+    cfg = config or WalkConfig()
     n_users, n_prefs = pref_to_user.matrix.shape
     if restart.shape != (n_prefs,):
         raise ValueError("restart vector does not match the preference side")
@@ -214,9 +215,9 @@ def _result(restart: RestartVector, a, b, rate: float, win, loss,
     )
 
 
-def solve_item_walk(restart: RestartVector, config: ItemWalkConfig | None = None) -> ItemWalkResult:
+def solve_item_walk(restart: RestartVector, config: WalkConfig | None = None) -> ItemWalkResult:
     """The walk's fixed point in closed form (see the module docstring)."""
-    cfg = config or ItemWalkConfig()
+    cfg = config or WalkConfig()
     n = restart.n_items
     beta, keep = cfg.beta, 1.0 - cfg.beta
     c = keep * keep / 2.0
@@ -235,10 +236,10 @@ def solve_item_walk(restart: RestartVector, config: ItemWalkConfig | None = None
 
 
 def run_item_walk(pole_to_pref, pref_to_pole, restart: RestartVector,
-                  config: ItemWalkConfig | None = None) -> ItemWalkResult:
+                  config: WalkConfig | None = None) -> ItemWalkResult:
     """Iterate the walk from a uniform joint start (half the mass spread
     over the pair universe, half over the poles)."""
-    cfg = config or ItemWalkConfig()
+    cfg = config or WalkConfig()
     n = check_pole_operators(pole_to_pref, pref_to_pole, restart.n_items)
     a = np.zeros(n)
     b = np.zeros(n)

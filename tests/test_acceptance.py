@@ -27,10 +27,9 @@ import pytest
 from helpers import first_warm_user, ml100k_file, random_ratings, random_store
 
 from prefwalk import (
-    ItemWalkConfig,
     SplitSpec,
     UserPrefGraph,
-    UserWalkConfig,
+    WalkConfig,
     build_restart,
     collect_diagnostics,
     connectivity_report,
@@ -194,14 +193,13 @@ def test_criterion_2_stochasticity_ml100k():
 # -- criterion 3: convergence budget (known red, see module docstring) --------
 
 def _convergence_fractions(ops, w_op, t_op, users, budget=30, max_iter=200):
-    walk1 = UserWalkConfig(tol=1e-10, max_iter=max_iter)
-    walk2 = ItemWalkConfig(tol=1e-10, max_iter=max_iter)
+    cfg = WalkConfig(tol=1e-10, max_iter=max_iter)
     iters1, iters2, within = [], [], 0
     for u in users:
         d = restart_vector(ops, int(u))
-        first = run_user_walk(ops.pref_to_user, ops.user_to_pref, d, walk1)
+        first = run_user_walk(ops.pref_to_user, ops.user_to_pref, d, cfg)
         q = build_restart(first.concordances, ops.observed_ids, ops.n_items)
-        second = run_item_walk(w_op, t_op, q, walk2)
+        second = run_item_walk(w_op, t_op, q, cfg)
         iters1.append(first.iterations)
         iters2.append(second.iterations)
         if (first.converged and first.iterations <= budget
@@ -336,16 +334,15 @@ def _check_fixed_point() -> bool:
     store = random_store(rng, n_users=5, n_items=6, fill=0.6)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     target = first_warm_user(store)
-    cfg1 = UserWalkConfig(tol=1e-10, max_iter=400)
+    cfg = WalkConfig(tol=1e-10, max_iter=400)
     first = run_user_walk(ops.pref_to_user, ops.user_to_pref,
-                          restart_vector(ops, target), cfg1)
-    if not (first.converged and first.residual < cfg1.tol):
+                          restart_vector(ops, target), cfg)
+    if not (first.converged and first.residual < cfg.tol):
         return False
     w_op, t_op = item_pole_operators(store.n_items)
     q = build_restart(first.concordances, ops.observed_ids, store.n_items)
-    cfg2 = ItemWalkConfig(tol=1e-10, max_iter=400)
-    second = run_item_walk(w_op, t_op, q, cfg2)
-    return second.converged and second.residual < cfg2.tol
+    second = run_item_walk(w_op, t_op, q, cfg)
+    return second.converged and second.residual < cfg.tol
 
 
 def _check_determinism() -> bool:

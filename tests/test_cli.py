@@ -357,6 +357,11 @@ def test_invalid_alpha_is_usage_error(ratings_file, capsys):
     for tol in ("nan", "inf"):
         code, out, err = run_cli(capsys, "diagnose", ratings_file, "--tol", tol)
         assert code == 1 and out == "" and "tol" in err
+    # of two bad values the one reported is the first of alpha, tol, beta
+    for flags, message in ((["--beta", "0", "--tol", "-1"], "tol must be positive and finite"),
+                           (["--alpha", "0", "--beta", "0"], "alpha must be in (0, 1]")):
+        code, out, err = run_cli(capsys, "evaluate", ratings_file, "--upl", "3", *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, flags, key, value", [

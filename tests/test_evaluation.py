@@ -16,9 +16,9 @@ from scipy import sparse
 from helpers import (assert_same_ranking, factor_kind, first_warm_user, random_ratings,
                      random_store)
 
-from prefwalk import (ColdStartError, ItemWalkConfig, NumericalError, PreferenceStore,
-                      RankedBlock, RankOutcome, SplitSpec, UserPrefGraph, UserWalkBlock,
-                      UserWalkConfig, collect_diagnostics, connectivity_report, decode_pair,
+from prefwalk import (ColdStartError, NumericalError, PreferenceStore, RankedBlock,
+                      RankOutcome, SplitSpec, UserPrefGraph, UserWalkBlock, WalkConfig,
+                      collect_diagnostics, connectivity_report, decode_pair,
                       derive_preferences, distinct_levels, item_pole_operators, loads_ratings,
                       ndcg_at_k, ndcg_rows, rank_block, rank_items_for_user, run_evaluation,
                       upl_split, user_pref_operators)
@@ -111,11 +111,11 @@ def test_ndcg_rows_matches_ndcg_at_k(seed):
         assert np.abs(got[r] - want).max() <= 1e-12
 
 
-def _full_walks(ops, target, walk1=None, walk2=None):
+def _full_walks(ops, target, config=None):
     """Both walks' full exact state for one user, as diagnostics take it."""
-    first = solve_user_walk(ops, target, walk1)
+    first = solve_user_walk(ops, target, config)
     q = build_restart(first.concordances, ops.observed_ids, ops.n_items)
-    return first, solve_item_walk(q, walk2)
+    return first, solve_item_walk(q, config)
 
 
 def test_rank_items_matches_manual_pipeline():
@@ -194,9 +194,9 @@ def test_near_one_beta_unreached_items_score_one_half():
     n = 2000
     store = PreferenceStore.from_pairs(2, n, [[(0, 1)], [(2, 3)]])
     ops = user_pref_operators(UserPrefGraph.from_store(store))
-    walk2 = ItemWalkConfig(beta=0.9999)
-    out = rank_items_for_user(ops, *item_pole_operators(n), 0, k=n, walk2=walk2)
-    second = _full_walks(ops, 0, walk2=walk2)[1]
+    cfg = WalkConfig(beta=0.9999)
+    out = rank_items_for_user(ops, *item_pole_operators(n), 0, k=n, config=cfg)
+    second = _full_walks(ops, 0, cfg)[1]
     full = score_items(second)
     pm = second.pole_mass
     assert (pm[:n] + pm[n:])[2:].max() < 1e-15
@@ -228,7 +228,7 @@ def _p_space_walks(ops, target, alpha, beta):
     con = keep * ops.user_to_pref.apply(sim) + jump
     mass = sim.sum() + con.sum()
     q = build_restart(con / mass, ops.observed_ids, ops.n_items)
-    return sim / mass, con / mass, solve_item_walk(q, ItemWalkConfig(beta=beta))
+    return sim / mass, con / mass, solve_item_walk(q, WalkConfig(beta=beta))
 
 
 @settings(deadline=None, max_examples=60)
@@ -239,10 +239,10 @@ def test_pole_marginals_match_lazy_concordances(seed):
     store, target, alpha, _ = _warm_instance(seed)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     n = store.n_items
-    walk1 = UserWalkConfig(alpha=alpha)
-    con = solve_user_walk(ops, target, walk1).concordances
+    cfg = WalkConfig(alpha=alpha)
+    con = solve_user_walk(ops, target, cfg).concordances
     winners, losers = decode_pair(ops.observed_ids, n)
-    poles = solve_user_walks(ops, [target], walk1).concordance_poles[:, 0]
+    poles = solve_user_walks(ops, [target], cfg).concordance_poles[:, 0]
     assert np.abs(poles[:n] - np.bincount(winners, con, minlength=n)).max() <= 1e-15
     assert np.abs(poles[n:] - np.bincount(losers, con, minlength=n)).max() <= 1e-15
     q = build_restart(con, ops.observed_ids, n)
@@ -256,7 +256,7 @@ def test_pole_marginals_match_lazy_concordances(seed):
 def test_user_space_residual_is_one_sweep_change(seed):
     store, target, alpha, _ = _warm_instance(seed)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
-    first = solve_user_walk(ops, target, UserWalkConfig(alpha=alpha))
+    first = solve_user_walk(ops, target, WalkConfig(alpha=alpha))
     sim, con, keep = first.similarities, first.concordances, 1.0 - alpha
     sim_next = keep * ops.pref_to_user.apply(con)
     con_next = keep * ops.user_to_pref.apply(sim) + alpha * restart_vector(ops, target)
@@ -273,9 +273,9 @@ def test_scores_match_p_space_pipeline(seed):
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     n = store.n_items
     w_op, t_op = item_pole_operators(n)
-    walk1, walk2 = UserWalkConfig(alpha=alpha), ItemWalkConfig(beta=beta)
-    out = rank_items_for_user(ops, w_op, t_op, target, k=n, walk1=walk1, walk2=walk2)
-    first, exact = _full_walks(ops, target, walk1, walk2)
+    cfg = WalkConfig(alpha=alpha, beta=beta)
+    out = rank_items_for_user(ops, w_op, t_op, target, k=n, config=cfg)
+    first, exact = _full_walks(ops, target, cfg)
     sim, con, second = _p_space_walks(ops, target, alpha, beta)
     scored = score_items(second)
     assert np.abs(first.similarities - sim).max() <= 1e-14
@@ -293,15 +293,15 @@ def test_rank_alpha_one_and_beta_one(seed):
     store, target, _, _ = _warm_instance(seed)
     ops = user_pref_operators(UserPrefGraph.from_store(store))
     poles = item_pole_operators(store.n_items)
-    walk1 = UserWalkConfig(alpha=1.0)
-    first, second = _full_walks(ops, target, walk1)
+    cfg = WalkConfig(alpha=1.0)
+    first, second = _full_walks(ops, target, cfg)
     assert np.all(first.similarities == 0.0)
     assert np.abs(first.concordances - restart_vector(ops, target)).max() <= 1e-15
     assert first.converged
     # so ranking scores the target's own preferences alone
-    out = rank_items_for_user(ops, *poles, target, walk1=walk1)
+    out = rank_items_for_user(ops, *poles, target, config=cfg)
     assert np.abs(out.scored.scores - score_items(second).scores).max() <= 1e-15
-    out = rank_items_for_user(ops, *poles, target, walk2=ItemWalkConfig(beta=1.0))
+    out = rank_items_for_user(ops, *poles, target, config=WalkConfig(beta=1.0))
     assert np.all(out.scored.scores == 0.0) and not out.scored.defined.any()
 
 
@@ -319,22 +319,21 @@ def test_rank_block_matches_one_user_calls(seed):
     if not warm:
         return
     ops = user_pref_operators(UserPrefGraph.from_store(store))
-    walk1 = UserWalkConfig(alpha=float(rng.uniform(0.05, 1.0)))
-    walk2 = ItemWalkConfig(beta=1.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0)))
+    cfg = WalkConfig(alpha=float(rng.uniform(0.05, 1.0)),
+                     beta=1.0 if rng.random() < 0.2 else float(rng.uniform(0.05, 1.0)))
     k = int(rng.integers(0, n + 3))
     excluded = rng.random((len(warm), n)) < rng.uniform(0.0, 0.8)
-    block = rank_block(ops, warm, k, excluded, walk1, walk2)
+    block = rank_block(ops, warm, k, excluded, cfg)
     poles = item_pole_operators(n)
     for j, u in enumerate(warm):
-        one = rank_items_for_user(ops, *poles, u, k, np.flatnonzero(excluded[j]), walk1, walk2)
+        one = rank_items_for_user(ops, *poles, u, k, np.flatnonzero(excluded[j]), cfg)
         assert np.array_equal(block.items[j, :block.counts[j]], one.items)
         assert np.abs(block.scored.scores[:, j] - one.scored.scores).max() <= 1e-15
         assert np.array_equal(block.scored.defined[:, j], one.scored.defined)
     cold = [u for u in range(store.n_users) if store.count(u) == 0]
     if cold:
         with pytest.raises(ColdStartError):
-            rank_block(ops, warm[:1] + cold[:1], k, np.zeros((2, n), dtype=bool),
-                       walk1, walk2)
+            rank_block(ops, warm[:1] + cold[:1], k, np.zeros((2, n), dtype=bool), cfg)
 
 
 def test_same_ranking_allows_only_ties():
@@ -409,7 +408,7 @@ def test_ranking_touches_only_user_space(kind):
         return block.items, block.counts, block.scored.scores, one.items, one.scored.scores
 
     with factor_kind(kind):
-        ops.user_walk_factor(UserWalkConfig().alpha)
+        ops.user_walk_factor(WalkConfig().alpha)
     want = rankings()
     ops.pref_to_user = ops.user_to_pref = ops.user_space.coupling = _Untouchable()
     for got, expected in zip(rankings(), want):
@@ -514,10 +513,10 @@ def test_rank_block_on_threads_matches_serial():
     store = derive_preferences(ds)
     dense = user_pref_operators(UserPrefGraph.from_store(store))
     assert dense.user_space.coupling.nnz > 0.9 * n_users ** 2
-    assert type(dense.user_walk_factor(UserWalkConfig().alpha)) is graph_module.DenseLU
+    assert type(dense.user_walk_factor(WalkConfig().alpha)) is graph_module.DenseLU
     sparse_ops = user_pref_operators(UserPrefGraph.from_store(store))
     with factor_kind("sparse"):
-        lu = sparse_ops.user_walk_factor(UserWalkConfig().alpha)
+        lu = sparse_ops.user_walk_factor(WalkConfig().alpha)
     assert lu.L.nnz + lu.U.nnz > n_users ** 2 / 2
     warm = np.flatnonzero(dense.user_degrees > 0)
     starts = range(0, warm.size, evaluation.EVAL_BLOCK)
@@ -704,6 +703,37 @@ def test_run_evaluation_counts_cold_users():
     assert all(report.cold_skipped[key] > 0 for key in report.cold_skipped)
 
 
+def test_run_evaluation_builds_nothing_without_warm_kept_users(monkeypatch):
+    # the sample keeps one user; giving that user one grade throughout
+    # leaves its train profile all ties while the other users keep their
+    # preferences, so nobody is ranked and nothing is built.  The split
+    # and the sample read no rating, so a probe run names the user.
+    rng = np.random.default_rng(9)
+    rows = [(u, i, rng.integers(1, 6)) for u in range(6)
+            for i in rng.choice(20, size=12, replace=False)]
+    kwargs = dict(upls=[4], cutoffs=[1, 3], repetitions=1, seed=2, min_test=5, user_sample=1)
+    ranked, real = [], evaluation.rank_block
+
+    def spy(ops, users, *args):
+        ranked.extend(users)
+        return real(ops, users, *args)
+
+    monkeypatch.setattr(evaluation, "rank_block", spy)
+    run_evaluation(loads_ratings("\n".join(f"{u}\t{i}\t{r}" for u, i, r in rows)), **kwargs)
+    (sampled,) = ranked
+    tied = loads_ratings("\n".join(f"{u}\t{i}\t{3 if u == sampled else r}"
+                                    for u, i, r in rows))
+    train, _, _ = upl_split(tied, SplitSpec(4, min_test=5, seed=2), 0)
+    assert derive_preferences(train).total > 0
+    builds = []
+    for name in ("splu", "DenseLU"):
+        monkeypatch.setattr(graph_module, name, lambda *args, name=name: builds.append(name))
+    report = run_evaluation(tied, **kwargs)
+    assert report.evaluated_users == {(4, 0): 0} and report.cold_skipped == {(4, 0): 1}
+    assert all(cell.per_rep == [0.0] for cell in report.cells.values())
+    assert builds == []
+
+
 def test_run_evaluation_tied_test_items_score_one():
     # when every user's test items tie in rating and no unrated items
     # exist, the candidate pool is exactly the tied test set: any ranking
@@ -883,11 +913,11 @@ def test_diagnostics_levels_match_per_value_rounding():
     ops = user_pref_operators(graph)
     uni = graph.n_items * (graph.n_items - 1)
     active = np.flatnonzero(ops.user_degrees > 0)
-    for walk2 in (ItemWalkConfig(), ItemWalkConfig(beta=1.0)):
-        report = collect_diagnostics(graph, walk2=walk2)
+    for cfg in (WalkConfig(), WalkConfig(beta=1.0)):
+        report = collect_diagnostics(graph, config=cfg)
         assert len(report.users) == active.size > 1
         for diag in report.users:
-            first, second = _full_walks(ops, diag.user, walk2=walk2)
+            first, second = _full_walks(ops, diag.user, cfg)
             conc, pref = first.concordances, second.pref_mass
             sims = first.similarities[active[active != diag.user]]
             reached_conc = conc[conc > evaluation.NONZERO_EPS]
@@ -897,7 +927,7 @@ def test_diagnostics_levels_match_per_value_rounding():
             assert diag.pref_mass_levels == _oracle_levels(reached_pref)
             assert diag.concordance_fraction == reached_conc.size / uni
             assert diag.pref_mass_fraction == reached_pref.size / uni
-            assert (diag.pref_mass_fraction < 1.0) == (walk2.beta == 1.0)
+            assert (diag.pref_mass_fraction < 1.0) == (cfg.beta == 1.0)
 
 
 def test_diagnostics_peak_memory_per_user():

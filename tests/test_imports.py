@@ -1,12 +1,16 @@
 """No module of the package imports a top-level name it never uses, or
-defines a private top-level name it never uses.
+defines a private top-level name it never uses; the package exports
+exactly the names it imports; and the walk configuration has no field
+that nothing reads.
 
-No linter is a dependency, so these are the checks for imports and
-private helpers left behind when code is removed.  `__init__.py` is
-exempt from the import check: its imports are the package's public names.
+No linter is a dependency, so these are the checks for imports, exports,
+private helpers and settings left behind when code is removed.
+`__init__.py` is exempt from the import check: its imports are the
+package's public names.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -72,3 +76,34 @@ def test_orphan_check_sees_each_kind():
 def test_no_orphaned_private_names(path):
     orphans = orphaned_private_names(ast.parse(path.read_text(encoding="utf-8")))
     assert not orphans, f"{path.name} defines private names it never uses: {orphans}"
+
+
+def test_exports_are_the_imported_names():
+    # a name exported but no longer imported, or imported but not
+    # exported, is left over from a removal
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bound, exported = set(imported_names(tree)), None
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if target.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+                else:
+                    bound.add(target.id)
+    assert exported is not None and len(exported) == len(set(exported))
+    assert set(exported) == bound
+    package = importlib.import_module("prefwalk")
+    assert [name for name in exported if not hasattr(package, name)] == []
+
+
+def test_every_walk_config_field_is_read():
+    # a setting that no code outside the class reads is a dead knob
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    (config,) = [node for tree in trees for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == "WalkConfig"]
+    fields = {node.target.id for node in config.body if isinstance(node, ast.AnnAssign)}
+    inside = {id(node) for node in ast.walk(config)}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside}
+    assert fields and fields <= read, f"WalkConfig fields never read: {fields - read}"

@@ -11,7 +11,7 @@ from helpers import (assert_same_ranking, factor_kind, first_warm_user, pair_col
                      random_store)
 
 from prefwalk import (ColdStartError, NumericalError, PreferenceStore, SplitSpec,
-                      UserPrefGraph, UserWalkConfig, derive_preferences, item_pole_operators,
+                      UserPrefGraph, WalkConfig, derive_preferences, item_pole_operators,
                       loads_ratings, rank_items_for_user, restart_vector, run_user_walk,
                       solve_user_walk, solve_user_walks, upl_split, user_pref_operators)
 from prefwalk import graph as graph_module
@@ -26,17 +26,12 @@ def ops_for(store):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        UserWalkConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        UserWalkConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        UserWalkConfig(tol=0.0)
-    for tol in (float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            UserWalkConfig(tol=tol)
-    with pytest.raises(ValueError):
-        UserWalkConfig(max_iter=0)
+    # one config for both walks: every bad value of either is refused
+    for field, value in (("alpha", 0.0), ("alpha", 1.5), ("beta", 0.0), ("beta", 1.5),
+                         ("tol", 0.0), ("tol", -1.0), ("tol", float("nan")),
+                         ("tol", float("inf")), ("max_iter", 0)):
+        with pytest.raises(ValueError, match=field):
+            WalkConfig(**{field: value})
 
 
 def test_restart_single_preference():
@@ -76,7 +71,7 @@ def test_alpha_one_pins_concordance_to_restart():
     target = first_warm_user(store)
     d = restart_vector(ops, target)
     res = run_user_walk(ops.pref_to_user, ops.user_to_pref, d,
-                        UserWalkConfig(alpha=1.0, max_iter=50))
+                        WalkConfig(alpha=1.0, max_iter=50))
     assert res.converged
     assert np.all(res.similarities == 0.0)
     assert np.abs(res.concordances - d).max() <= 1e-15
@@ -87,7 +82,7 @@ def test_single_user_single_preference_fixed_point():
     ops = ops_for(store)
     d = restart_vector(ops, 0)
     res = run_user_walk(ops.pref_to_user, ops.user_to_pref, d,
-                        UserWalkConfig(alpha=0.15, tol=1e-12, max_iter=500))
+                        WalkConfig(alpha=0.15, tol=1e-12, max_iter=500))
     assert res.converged
     # hand-derived fixed point: s = 0.85 c, c = 0.85 s + 0.15  =>  (17/37, 20/37)
     assert abs(res.similarities[0] - 17 / 37) <= 1e-10
@@ -133,7 +128,7 @@ def test_mass_conservation_and_residual(seed):
     ops = ops_for(store)
     target = first_warm_user(store)
     d = restart_vector(ops, target)
-    cfg = UserWalkConfig(alpha=0.15, tol=1e-10, max_iter=300)
+    cfg = WalkConfig(alpha=0.15, tol=1e-10, max_iter=300)
     res = run_user_walk(ops.pref_to_user, ops.user_to_pref, d, cfg)
     assert abs(res.similarities.sum() + res.concordances.sum() - 1.0) <= 1e-12
     assert res.converged and res.residual < cfg.tol
@@ -177,9 +172,9 @@ def test_exact_matches_converged_iterate(seed, alpha):
     ops = ops_for(store)
     target = first_warm_user(store)
     d = restart_vector(ops, target)
-    exact = solve_user_walk(ops, target, UserWalkConfig(alpha=alpha))
+    exact = solve_user_walk(ops, target, WalkConfig(alpha=alpha))
     it = run_user_walk(ops.pref_to_user, ops.user_to_pref, d,
-                       UserWalkConfig(alpha=alpha, tol=1e-14, max_iter=5000))
+                       WalkConfig(alpha=alpha, tol=1e-14, max_iter=5000))
     assert it.converged
     assert np.abs(exact.similarities - it.similarities).max() <= 1e-11
     assert np.abs(exact.concordances - it.concordances).max() <= 1e-11
@@ -198,7 +193,7 @@ def test_exact_alpha_one_pins_concordance_to_restart(seed):
     ops = ops_for(store)
     target = first_warm_user(store)
     d = restart_vector(ops, target)
-    res = solve_user_walk(ops, target, UserWalkConfig(alpha=1.0))
+    res = solve_user_walk(ops, target, WalkConfig(alpha=1.0))
     assert np.all(res.similarities == 0.0)
     assert np.abs(res.concordances - d).max() <= 1e-15
     assert res.converged
@@ -215,8 +210,7 @@ def test_factor_reuse_matches_fresh_operators(seed, alpha):
     for kind, factor_type in (("dense", DenseLU), ("sparse", SuperLU)):
         with factor_kind(kind):
             shared = ops_for(store)
-            for cfg in (UserWalkConfig(alpha=alpha), UserWalkConfig(),
-                        UserWalkConfig(alpha=alpha)):
+            for cfg in (WalkConfig(alpha=alpha), WalkConfig(), WalkConfig(alpha=alpha)):
                 for u in warm:  # the shared operators reuse one factor per alpha
                     reused = solve_user_walk(shared, u, cfg)
                     fresh = solve_user_walk(ops_for(store), u, cfg)
@@ -225,7 +219,7 @@ def test_factor_reuse_matches_fresh_operators(seed, alpha):
         # memoized: the kind stays as built after the rule changes back
         assert type(shared.user_walk_factor(alpha)) is factor_type
         assert shared.user_walk_factor(alpha) is shared.user_walk_factor(alpha)
-        assert set(shared._factors) == {alpha, UserWalkConfig().alpha}
+        assert set(shared._factors) == {alpha, WalkConfig().alpha}
 
 
 def _disjoint_store(n_users, shared=0):
@@ -291,7 +285,7 @@ def test_benchmark_splits_keep_the_sparse_factor():
     # keep the sparse path's sums
     for train in _bench_ratings()[1].values():
         ops = user_pref_operators(UserPrefGraph.from_store(derive_preferences(train)))
-        assert type(ops.user_walk_factor(UserWalkConfig().alpha)) is SuperLU
+        assert type(ops.user_walk_factor(WalkConfig().alpha)) is SuperLU
 
 
 def test_benchmark_column_maps_count_only_the_full_file():
@@ -319,8 +313,8 @@ def test_dense_factor_ranks_as_reference_and_sparse(seed):
         with factor_kind(kind):
             ops = ops_for(store)
             outcomes[kind] = rank_items_for_user(ops, *poles, target, k=n,
-                                                 walk1=UserWalkConfig(alpha=alpha))
-            sims[kind] = solve_user_walks(ops, [target], UserWalkConfig(alpha=alpha)).similarities
+                                                 config=WalkConfig(alpha=alpha))
+            sims[kind] = solve_user_walks(ops, [target], WalkConfig(alpha=alpha)).similarities
             assert type(ops.user_walk_factor(alpha)) is factor_type
     dense, sparse = outcomes["dense"], outcomes["sparse"]
     ref = dense_reference_ranking(store, target, alpha=alpha, k=n, tol=1e-15, max_iter=5000)
