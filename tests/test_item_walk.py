@@ -16,6 +16,18 @@ def make_restart(n_items, pairs, weights=None):
     return RestartVector(n_items, ids, np.asarray(weights, dtype=np.float64))
 
 
+def test_config_validation():
+    # walk 2's restart probability; the shared knobs are checked in test_user_walk.py
+    for value in (0.0, 1.5):
+        with pytest.raises(ValueError, match="beta"):
+            WalkConfig(beta=value)
+    # beta is checked last, so a bad shared knob is the one reported
+    with pytest.raises(ValueError, match="tol"):
+        WalkConfig(beta=0.0, tol=-1.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        WalkConfig(beta=0.0, max_iter=0)
+
+
 def test_build_restart_normalizes():
     q = build_restart(np.array([0.2, 0.2]), np.array([1, 2]), 2)
     assert np.allclose(q.weights, [0.5, 0.5])
